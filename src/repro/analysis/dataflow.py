@@ -891,7 +891,7 @@ def _value_verdicts(
                         code,
                         cls_name,
                         f"{rule.display} {what}; Schema.freeze folds it to "
-                        f"a constant (REPRO_NO_FOLD=1 disables)",
+                        f"a constant rule that no wave re-marks",
                         rule,
                     )
                 )

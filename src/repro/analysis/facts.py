@@ -1,13 +1,14 @@
 """AnalysisFacts: what the static layer hands to the runtime layers.
 
-``Schema.freeze`` computes one :class:`AnalysisFacts` per freeze (set
-``REPRO_NO_ANALYSIS=1`` to skip) and attaches it as
-``schema.analysis_facts``.  Three consumers read it:
+``Schema.freeze`` computes one :class:`AnalysisFacts` per freeze and
+attaches it as ``schema.analysis_facts`` (``None`` only when the analyzer
+itself failed -- the facts are advisory and never block a freeze).  Three
+consumers read it:
 
 * :func:`repro.compile.fold_frozen_schema` folds every constraint and
   subtype predicate in :attr:`AnalysisFacts.always_true` down to a
   zero-input constant rule -- the slot is evaluated once at creation and
-  never re-marked (``REPRO_NO_FOLD=1`` escape hatch);
+  never re-marked;
 * :func:`repro.compile.slotplan.build_slot_plan` orders each shape's plan
   arrays by descending :class:`CostModel` op counts so expensive rules are
   marked/collected first within a wave;
@@ -27,7 +28,6 @@ is documented in ``docs/DIAGNOSTICS.md``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -43,18 +43,11 @@ from repro.analysis.dataflow import (
 from repro.analysis.model import RuleInfo, SchemaModel, model_from_schema
 from repro.dsl import ast
 
-#: set (to any non-empty value) to skip facts computation at freeze time.
-ANALYSIS_DISABLED_ENV = "REPRO_NO_ANALYSIS"
-
 #: assumed For-Each fan-out per nesting level for op counting.
 FANOUT_BOUND = 4
 
 #: op count charged to a native (opaque Python) rule body.
 NATIVE_OPS = 8
-
-
-def analysis_enabled() -> bool:
-    return not os.environ.get(ANALYSIS_DISABLED_ENV)
 
 
 @dataclass(frozen=True)

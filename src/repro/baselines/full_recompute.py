@@ -10,18 +10,20 @@ should be a small, change-local fraction of this.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.slots import Slot
-from repro.evaluation.host import EvaluationHost
 from repro.baselines.triggers import EagerTriggerEngine
 from repro.graph.cycles import topological_order
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.database import Database
 
 
 class FullRecomputeEngine(EagerTriggerEngine):
     """Recomputes the entire derived state on every change."""
 
-    def __init__(self, host: EvaluationHost, budget: int | None = None) -> None:
+    def __init__(self, host: "Database", budget: int | None = None) -> None:
         super().__init__(host, budget=budget)
 
     def propagate_intrinsic_change(self, slot: Slot) -> None:

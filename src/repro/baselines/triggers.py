@@ -25,14 +25,16 @@ same quantities.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.rules import is_constraint_attr, is_subtype_attr
 from repro.core.slots import Slot
 from repro.errors import CactisError, RuleEvaluationError
 from repro.evaluation.counters import EvalCounters
-from repro.evaluation.host import EvaluationHost
 from repro.graph.cycles import topological_order
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.database import Database
 
 
 class TriggerBudgetExceeded(CactisError):
@@ -61,7 +63,9 @@ class EagerTriggerEngine:
     #: never leave anything out of date.
     out_of_date: set[Slot]
 
-    def __init__(self, host: EvaluationHost, budget: int | None = None) -> None:
+    def __init__(self, host: "Database", budget: int | None = None) -> None:
+        # Baselines walk the database's dependency graph and rule map
+        # directly; the incremental engine's host protocol has neither.
         self.host = host
         self.budget = budget
         self.counters = EvalCounters()

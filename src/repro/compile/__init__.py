@@ -16,16 +16,14 @@ evaluation engine's inner loops iterate -- lives in
 the :class:`~repro.compile.slotplan.SlotPlanCache` a
 :class:`~repro.core.database.Database` owns.
 
-Setting ``REPRO_NO_COMPILE=1`` in the environment disables both products:
-rules keep their interpreters and the engine walks the classic
-string-keyed dependency graph.  The A/B is observable -- see the
-``compile.*`` section of ``docs/OBSERVABILITY.md`` -- and exercised by
-``benchmarks/bench_compile.py``.
+The interpreter is not gone: it is the fallback for declined bodies and
+stays reachable as ``CompiledBody.__wrapped__``, which is what the tests
+compare every compiled closure against.  The pass reports itself in the
+``compile.*`` section of ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any
 
@@ -33,29 +31,11 @@ from repro.compile.codegen import CompiledBody, code_cache_size, compile_interpr
 from repro.dsl.compiler import _RuleInterpreter
 
 __all__ = [
-    "COMPILE_DISABLED_ENV",
-    "FOLD_DISABLED_ENV",
     "CompiledBody",
     "code_cache_size",
-    "compile_enabled",
     "compile_frozen_schema",
-    "fold_enabled",
     "fold_frozen_schema",
 ]
-
-#: set (to any non-empty value) to run the interpreter end to end.
-COMPILE_DISABLED_ENV = "REPRO_NO_COMPILE"
-
-#: set (to any non-empty value) to keep proven-constant predicates live.
-FOLD_DISABLED_ENV = "REPRO_NO_FOLD"
-
-
-def compile_enabled() -> bool:
-    return not os.environ.get(COMPILE_DISABLED_ENV)
-
-
-def fold_enabled() -> bool:
-    return not os.environ.get(FOLD_DISABLED_ENV)
 
 
 def _classify(body: Any) -> tuple[_RuleInterpreter | None, bool] | None:
@@ -109,18 +89,11 @@ def fold_frozen_schema(schema: Any) -> dict[str, Any]:
     ``Constraint.predicate`` used by the recovery re-check path -- and by
     the next freeze's verdict computation -- is untouched, and unfreezing
     plus extending the schema re-derives everything from scratch.
-
-    ``REPRO_NO_FOLD=1`` disables the pass.  It is deliberately
-    independent of ``REPRO_NO_COMPILE``: both engine modes see the same
-    folded rule set, so compiled-vs-interpreted counter parity holds.
+    Without facts (the analyzer failed) nothing is folded.
     """
     facts = getattr(schema, "analysis_facts", None)
-    stats: dict[str, Any] = {
-        "fold_enabled": fold_enabled() and facts is not None,
-        "constraints_folded": 0,
-        "predicates_folded": 0,
-    }
-    if not stats["fold_enabled"]:
+    stats: dict[str, Any] = {"constraints_folded": 0, "predicates_folded": 0}
+    if facts is None:
         return stats
     from repro.core.rules import is_constraint_attr, is_subtype_attr
 
@@ -158,7 +131,6 @@ def compile_frozen_schema(schema: Any) -> dict[str, Any]:
     """
     prev = getattr(schema, "compile_stats", None) or {}
     stats: dict[str, Any] = {
-        "enabled": compile_enabled(),
         "rules_compiled": prev.get("rules_compiled", 0),
         "cache_hits": prev.get("cache_hits", 0),
         "code_objects": prev.get("code_objects", 0),
@@ -166,8 +138,6 @@ def compile_frozen_schema(schema: Any) -> dict[str, Any]:
         "native_bodies": 0,
         "compile_seconds": prev.get("compile_seconds", 0.0),
     }
-    if not stats["enabled"]:
-        return stats
     started = time.perf_counter()
     seen: set[int] = set()
     for resolved in schema._resolved.values():

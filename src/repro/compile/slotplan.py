@@ -1,11 +1,11 @@
-"""Flattened per-class slot plans: the engine's index-based hot path.
+"""Flattened per-class slot plans: the structure the engine traverses.
 
-The incremental evaluator's unit of work is the slot ``(iid, name)``.  The
-classic engine resolves everything about a slot -- does it carry a rule,
-which slots depend on it, which port a name crosses -- through string-keyed
-dict lookups and name re-parsing, per visit.  A :class:`SlotPlan` does all
-of that once per *instance shape* (class + active predicate subtypes,
-exactly the key :meth:`Database._effective_key` already uses):
+The incremental evaluator's unit of work is the slot ``(iid, name)``.
+Everything the engine needs to know about a slot -- does it carry a rule,
+which slots depend on it, which port a name crosses -- is resolved by a
+:class:`SlotPlan` once per *instance shape* (class + active predicate
+subtypes, exactly the key :meth:`Database._effective_key` already uses)
+instead of through string-keyed lookups and name re-parsing per visit:
 
 * every slot name of the shape gets a dense integer id (``sid``);
 * per-sid arrays carry the rule, the compiled executor, the special role
@@ -16,8 +16,7 @@ exactly the key :meth:`Database._effective_key` already uses):
   one instance) are index arrays, ``sid -> tuple of dependent sids``;
 * the *port-crossing* edges are a ``(receive_port, value) -> tuple of
   consumer sids`` table; the producer walks its live connections and joins
-  against the peer shape's table, which also yields the crossing port with
-  no :meth:`receive_port_between` search;
+  against the peer shape's table, which also yields the crossing port;
 * per-sid binding specs rebuild the engine's ``DepBinding`` list from the
   live connection table without consulting the rule map.
 
@@ -156,20 +155,20 @@ def build_slot_plan(db: Any, instance: Any) -> SlotPlan:
     attrmap = db._attrmap(instance)
     # Static cost ordering: when the freeze-time analysis produced a cost
     # model, order ruled slots by descending op count (stable on the
-    # legacy rulemap order).  Sids, edge tuples, and receiver tables all
-    # inherit the order, so within a wave the engine marks and collects
-    # expensive rules first.  The engine's counters are order-invariant
-    # (per-edge counting, evaluate-once), so A/B parity is unaffected.
+    # rulemap order).  Sids, edge tuples, and receiver tables all inherit
+    # the order, so within a wave the engine marks and collects expensive
+    # rules first.  The engine's counters are order-invariant (per-edge
+    # counting, evaluate-once).
     facts = getattr(db.schema, "analysis_facts", None)
     if facts is not None and rulemap:
         cost = facts.cost
         cls = instance.class_name
-        legacy = {name: pos for pos, name in enumerate(rulemap)}
+        declared = {name: pos for pos, name in enumerate(rulemap)}
         rulemap = {
             name: rulemap[name]
             for name in sorted(
                 rulemap,
-                key=lambda n: (-cost.ops_of(cls, n), legacy[n]),
+                key=lambda n: (-cost.ops_of(cls, n), declared[n]),
             )
         }
     names = plan.names
@@ -183,9 +182,9 @@ def build_slot_plan(db: Any, instance: Any) -> SlotPlan:
             names.append(name)
         return sid
 
-    # Ruled slots first (rulemap order mirrors the legacy edge wiring),
-    # then declared attributes, then any attribute a rule reads that is
-    # not otherwise declared (synthetic constraint/subtype inputs).
+    # Ruled slots first (rulemap order mirrors the dependency-graph edge
+    # wiring), then declared attributes, then any attribute a rule reads
+    # that is not otherwise declared (synthetic constraint/subtype inputs).
     for name in rulemap:
         sid_of(name)
     for name in attrmap:

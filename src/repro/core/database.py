@@ -22,8 +22,8 @@ Ties every substrate together and exposes the paper's primitives:
   which may be extended dynamically (:meth:`Database.extend_schema`).
 
 The Database is also the :class:`~repro.evaluation.host.EvaluationHost`: it
-owns the dependency graph, resolves rules and bindings, and fields the
-constraint / subtype callbacks from the engine.
+owns the slot plans the engine traverses, stores slot values, and fields
+the constraint / subtype callbacks from the engine.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.core.rules import (
     Local,
     Received,
     Rule,
-    SelfRef,
     constraint_name_of,
     is_constraint_attr,
     is_subtype_attr,
@@ -48,8 +47,6 @@ from repro.core.schema import AttributeDef, PortDef, Schema
 from repro.core.slots import (
     Slot,
     attr_slot,
-    is_transmit_name,
-    split_transmit_name,
     transmit_name,
     transmit_slot,
 )
@@ -134,15 +131,12 @@ class Database:
         from repro.graph.depgraph import DependencyGraph
 
         self.depgraph = DependencyGraph()
-        # Flattened slot plans (repro.compile.slotplan): the engine's
-        # index-based hot path.  Must exist before the engine is built --
-        # IncrementalEngine captures it at construction.  None (under
-        # REPRO_NO_COMPILE=1) routes the engine through the classic
-        # string-keyed dependency-graph walk.
-        from repro.compile import compile_enabled
+        # Flattened slot plans (repro.compile.slotplan): the engine's only
+        # traversal structure.  Must exist before the engine is built --
+        # IncrementalEngine captures it at construction.
         from repro.compile.slotplan import SlotPlanCache
 
-        self.slot_plans = SlotPlanCache(self) if compile_enabled() else None
+        self.slot_plans = SlotPlanCache(self)
         # ``engine_factory`` swaps in a baseline propagation strategy
         # (see :mod:`repro.baselines`); the default is the paper's engine.
         if engine_factory is None:
@@ -311,17 +305,14 @@ class Database:
             stats = self.schema.compile_stats
             plans = self.slot_plans
             return {
-                "enabled": bool(stats.get("enabled", False)),
                 "rules_compiled": stats.get("rules_compiled", 0),
                 "cache_hits": stats.get("cache_hits", 0),
                 "code_objects": stats.get("code_objects", 0),
                 "fallbacks": stats.get("fallbacks", 0),
                 "native_bodies": stats.get("native_bodies", 0),
                 "compile_seconds": stats.get("compile_seconds", 0.0),
-                "plans_built": plans.plans_built if plans is not None else 0,
-                "plan_instances": (
-                    plans.instances_cached if plans is not None else 0
-                ),
+                "plans_built": plans.plans_built,
+                "plan_instances": plans.instances_cached,
             }
 
         def index_metrics() -> dict:
@@ -432,8 +423,7 @@ class Database:
         so flips simply select a different key; the slot-plan cache keeps a
         per-instance memo in front of that key and must drop it here.
         """
-        if self.slot_plans is not None:
-            self.slot_plans.invalidate_instance(iid)
+        self.slot_plans.invalidate_instance(iid)
 
     def _rulemap(self, instance: Instance) -> dict[str, Rule]:
         key = self._effective_key(instance)
@@ -622,8 +612,7 @@ class Database:
             self._unchecked_constraints.discard(slot)
         self.storage.remove(iid)
         self.usage.forget_instance(iid, peer_keys)
-        if self.slot_plans is not None:
-            self.slot_plans.invalidate_instance(iid)
+        self.slot_plans.invalidate_instance(iid)
         self.indexes.note_delete(iid, instance)
         del self._catalog[iid]
 
@@ -930,6 +919,12 @@ class Database:
                 yield
             except BaseException:
                 self.engine.abandon_batch()
+                if self._primitive_depth == 1 and self.txn.autocommit_pending:
+                    # The block's writes opened an implicit transaction that
+                    # will never reach its autocommit: roll it back, as
+                    # :meth:`transaction` does for an explicit one.
+                    self.engine.reset_wave()
+                    self.txn.abort()
                 raise
             else:
                 self.engine.end_batch()
@@ -1111,8 +1106,7 @@ class Database:
             self.schema.freeze()
             self._rulemaps.clear()
             self._attrmaps.clear()
-            if self.slot_plans is not None:
-                self.slot_plans.clear()
+            self.slot_plans.clear()
             self._reconcile_after_extension()
             # The extension may add/drop index declarations, classes, or
             # predicate subtypes: re-derive and rebuild from the catalog.
@@ -1158,7 +1152,7 @@ class Database:
         clustering algorithm consults these only for edges with no
         observed crossing count, so a freshly-loaded database clusters by
         schema-derived importance instead of declaration order; ``None``
-        when the freeze-time analysis is disabled or found no ports.
+        when the freeze-time analysis failed or found no ports.
         """
         facts = getattr(self.schema, "analysis_facts", None)
         if facts is None or not facts.cost.port_weight:
@@ -1228,48 +1222,17 @@ class Database:
     # ------------------------------------------------------------------
 
     def rule_for(self, slot: Slot) -> Rule | None:
-        iid, name = slot
-        plans = self.slot_plans
-        if plans is not None:
-            plan = plans.plan_of(iid)
-            if plan is None:
-                return None
-            sid = plan.index.get(name)
-            return plan.rules[sid] if sid is not None else None
-        instance = self._catalog.get(iid)
-        if instance is None:
+        plan = self.slot_plans.plan_of(slot[0])
+        if plan is None:
             return None
-        return self._rulemap(instance).get(name)
+        sid = plan.index.get(slot[1])
+        return plan.rules[sid] if sid is not None else None
 
     def resolved_inputs(self, slot: Slot) -> list[DepBinding]:
-        iid, __ = slot
-        instance = self.instance(iid)
-        rule = self.rule_for(slot)
-        assert rule is not None, f"resolved_inputs on intrinsic slot {slot!r}"
-        bindings: list[DepBinding] = []
-        for kw, inp in rule.inputs.items():
-            if isinstance(inp, SelfRef):
-                bindings.append(DepBinding(kw=kw, self_ref=True))
-            elif isinstance(inp, Local):
-                bindings.append(DepBinding(kw=kw, slots=[(iid, inp.attr)]))
-            elif isinstance(inp, Received):
-                port_def = self._port_def(instance, inp.port)
-                slots = [
-                    transmit_slot(conn.peer, conn.peer_port, inp.value)
-                    for conn in instance.connections_on(inp.port)
-                ]
-                bindings.append(
-                    DepBinding(
-                        kw=kw,
-                        slots=slots,
-                        port=inp.port,
-                        multi=port_def.multi,
-                        default=self._flow_default(iid, inp.port, inp.value),
-                    )
-                )
-            else:  # pragma: no cover - exhaustive over Input
-                raise TypeError(f"unknown input declaration {inp!r}")
-        return bindings
+        """A derived slot's rule inputs resolved against live connections."""
+        iid, name = slot
+        plan = self.slot_plans.plan_of(iid)
+        return plan.resolve_bindings(plan.index[name], iid, self._catalog[iid])
 
     def _flow_default(self, iid: int, port: str, value: str) -> Any:
         """The dummy-instance value for a dangling (or rule-less) flow."""
@@ -1286,21 +1249,13 @@ class Database:
         instance = self.instance(iid)
         if name in instance.attrs:
             return instance.attrs[name]
-        plans = self.slot_plans
-        if plans is not None:
-            # The plan pre-splits every transmit name into its flow default
-            # (dummy-instance semantics), so a dangling read stays free of
-            # string parsing inside a wave.
-            plan = plans.plan_of(iid)
-            if plan is not None:
-                default = plan.flow_defaults.get(name, _MISSING)
-                if default is not _MISSING:
-                    return default
-        if is_transmit_name(name):
-            # A peer consumes a flow this class never computes: the flow
-            # default stands in (dummy-instance semantics).
-            port, value = split_transmit_name(name)
-            return self._flow_default(iid, port, value)
+        # A peer consumes a flow this class never computes: the flow
+        # default stands in (dummy-instance semantics).  The plan holds it
+        # for every flow of every port, so a dangling read stays free of
+        # string parsing inside a wave.
+        default = self.slot_plans.plan_of(iid).flow_defaults.get(name, _MISSING)
+        if default is not _MISSING:
+            return default
         raise UnknownAttributeError(
             f"instance {iid} has no stored value for slot {name!r}"
         )
@@ -1328,24 +1283,6 @@ class Database:
         iid, name = slot
         instance = self._catalog.get(iid)
         return instance is not None and name in instance.attrs
-
-    def receive_port_between(self, consumer: Slot, producer: Slot) -> str | None:
-        rule = self.rule_for(consumer)
-        if rule is None:
-            return None
-        instance = self._catalog.get(consumer[0])
-        if instance is None:
-            return None
-        producer_iid, producer_name = producer
-        for __, received in rule.received_inputs():
-            for conn in instance.connections_on(received.port):
-                if (
-                    conn.peer == producer_iid
-                    and transmit_name(conn.peer_port, received.value)
-                    == producer_name
-                ):
-                    return received.port
-        return None
 
     def handle_constraint_result(self, slot: Slot, holds: bool) -> None:
         if holds:

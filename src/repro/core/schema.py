@@ -310,7 +310,7 @@ class Schema:
         #: (see :mod:`repro.compile`); surfaced as ``compile.*`` metrics.
         self.compile_stats: dict[str, Any] = {}
         #: :class:`~repro.analysis.facts.AnalysisFacts` from the last
-        #: freeze, or None (analysis disabled or failed).
+        #: freeze, or None (analysis failed).
         self.analysis_facts: Any = None
         #: class name -> attribute names with a maintained secondary index
         #: (see :mod:`repro.index`); declared via :meth:`add_index` and
@@ -452,17 +452,14 @@ class Schema:
         # weights.  Imported lazily -- repro.analysis walks schema objects,
         # which import this module.  A failure here must never block a
         # freeze (the facts are advisory), so it degrades to None.
-        from repro.analysis.facts import analysis_enabled, compute_facts
+        from repro.analysis.facts import compute_facts
 
-        self.analysis_facts = None
-        if analysis_enabled():
-            try:
-                self.analysis_facts = compute_facts(self)
-            except Exception:  # pragma: no cover - analyzer bug escape hatch
-                self.analysis_facts = None
+        try:
+            self.analysis_facts = compute_facts(self)
+        except Exception:  # an analyzer bug must not block the freeze
+            self.analysis_facts = None
         # Compile once, serve many: fold constant predicates, then swap
-        # DSL-interpreted rule bodies for specialized closures (no-ops
-        # under REPRO_NO_FOLD=1 / REPRO_NO_COMPILE=1 respectively).
+        # DSL-interpreted rule bodies for specialized closures.
         from repro.compile import compile_frozen_schema, fold_frozen_schema
 
         fold_stats = fold_frozen_schema(self)

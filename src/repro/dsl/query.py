@@ -160,7 +160,7 @@ class Query:
 
         full_ops = pred_ops(self.predicate)
 
-        if mgr is None or not mgr.enabled:
+        if mgr is None:
             return QueryPlan(self, db, "scan", cost=0.0, scan_cost=0.0)
 
         n_total = mgr.total_count()
@@ -329,7 +329,7 @@ class QueryPlan:
             result = self._execute_indexed(mgr)
         if result is _FALLBACK:
             self.degraded = self.access_path != "scan"
-            if mgr is not None and mgr.enabled:
+            if mgr is not None:
                 mgr.stats.queries += 1
                 mgr.stats.scan_queries += 1
             self._emit(db, "scan")

@@ -65,7 +65,7 @@ from time import perf_counter
 from typing import Any, Iterable
 
 from repro.core.rules import is_constraint_attr, is_subtype_attr
-from repro.core.slots import Slot, describe
+from repro.core.slots import Slot
 from repro.errors import CycleError, RuleEvaluationError
 from repro.evaluation.counters import EvalCounters
 from repro.evaluation.host import DepBinding, EvaluationHost
@@ -130,10 +130,9 @@ class IncrementalEngine:
         #: every add/discard so commit-time audits never scan the full set.
         self.out_of_date_constraints: set[Slot] = set()
         self.standing_demands: set[Slot] = set()
-        #: flattened slot plans (repro.compile.slotplan) when the host is a
-        #: Database with compilation enabled; None routes every inner loop
-        #: through the classic string-keyed dependency graph.
-        self._plans = getattr(host, "slot_plans", None)
+        #: flattened slot plans (repro.compile.slotplan): every inner loop's
+        #: only view of rules, dependents, and bindings.
+        self._plans = host.slot_plans
         self.scheduler = ChunkScheduler(
             is_resident=host.storage.is_resident,
             block_of=host.storage.block_of,
@@ -329,30 +328,23 @@ class IncrementalEngine:
             self.evaluate_all_out_of_date()
 
     def _schedule_dependent_marks(self, slot: Slot) -> None:
+        # A slot without a plan (instance deleted mid-wave) or without a
+        # sid has no dependents.
         plans = self._plans
-        if plans is not None:
-            plan = plans.plan_of(slot[0])
-            if plan is not None:
-                sid = plan.index.get(slot[1])
-                if sid is not None:
-                    self._plan_fanout(slot, plan, sid, plans)
-                    return
-        for dependent in self.host.depgraph.iter_dependents(slot):
-            self.counters.mark_edge_visits += 1
-            if dependent in self.out_of_date:
-                continue  # cut short: already marked
-            self._schedule_mark_chunk(slot, dependent)
+        plan = plans.plan_of(slot[0])
+        if plan is not None:
+            sid = plan.index.get(slot[1])
+            if sid is not None:
+                self._plan_fanout(slot, plan, sid, plans)
 
     def _plan_fanout(self, slot: Slot, plan: Any, sid: int, plans: Any) -> None:
         """Fan one mark out to its dependents via index arrays.
 
-        Replaces the depgraph walk plus :meth:`~repro.core.database.Database.
-        receive_port_between` per crossing: local dependents are a tuple of
-        slot ids, and crossing edges come from joining the live connection
-        table against the peer shape's ``receivers`` index, whose key
-        already *is* the crossing port.  Counter accounting (one
-        ``mark_edge_visits`` per dependent edge, cut short at marked slots)
-        matches the legacy walk exactly.
+        Local dependents are a tuple of slot ids, and crossing edges come
+        from joining the live connection table against the peer shape's
+        ``receivers`` index, whose key already *is* the crossing port.
+        One ``mark_edge_visits`` per dependent edge, cut short at marked
+        slots.
         """
         iid = slot[0]
         counters = self.counters
@@ -409,13 +401,6 @@ class IncrementalEngine:
             Chunk(lambda s=slot, p=crossing_port: self._mark(s, p), slot[0], priority)
         )
 
-    def _schedule_mark_chunk(self, src: Slot, dst: Slot) -> None:
-        """Schedule marking of ``dst`` reached from ``src``."""
-        crossing_port = None
-        if src[0] != dst[0]:
-            crossing_port = self.host.receive_port_between(dst, src)
-        self._schedule_mark(dst, crossing_port)
-
     def _run_fast(self, entry: FastEntry) -> None:
         """Execute one fast-lane entry (the scheduler's fast_runner hook)."""
         kind, slot, extra = entry
@@ -466,30 +451,19 @@ class IncrementalEngine:
         if crossing_port is not None:
             self.host.usage.note_crossing(slot[0], crossing_port)
         plans = self._plans
-        if plans is not None:
-            plan = plans.plan_of(slot[0])
-            if plan is not None:
-                sid = plan.index.get(slot[1])
-                if sid is not None:
-                    special = plan.special[sid]
-                    if special == 1:  # constraint: always important
-                        self.out_of_date_constraints.add(slot)
-                        self._important_found.append(slot)
-                    elif special == 2 or slot in self.standing_demands:
-                        self._important_found.append(slot)
-                    self._plan_fanout(slot, plan, sid, plans)
-                    return
-        name = slot[1]
-        if is_constraint_attr(name):
+        plan = plans.plan_of(slot[0])
+        if plan is None:
+            return
+        sid = plan.index.get(slot[1])
+        if sid is None:
+            return
+        special = plan.special[sid]
+        if special == 1:  # constraint: always important
             self.out_of_date_constraints.add(slot)
             self._important_found.append(slot)
-        elif is_subtype_attr(name) or slot in self.standing_demands:
+        elif special == 2 or slot in self.standing_demands:
             self._important_found.append(slot)
-        for dependent in self.host.depgraph.iter_dependents(slot):
-            self.counters.mark_edge_visits += 1
-            if dependent in self.out_of_date:
-                continue
-            self._schedule_mark_chunk(slot, dependent)
+        self._plan_fanout(slot, plan, sid, plans)
 
     # ------------------------------------------------------------------
     # phase 2: demand-driven evaluation
@@ -533,19 +507,12 @@ class IncrementalEngine:
 
     def _slot_ready(self, slot: Slot) -> bool:
         """True when the slot has a usable value without evaluation."""
-        plans = self._plans
-        if plans is not None:
-            plan = plans.plan_of(slot[0])
-            if plan is not None:
-                sid = plan.index.get(slot[1])
-                if sid is None or plan.rules[sid] is None:
-                    return True  # intrinsic: always carries its stored value
-                return (
-                    slot not in self.out_of_date
-                    and self.host.has_slot_value(slot)
-                )
-        if self.host.rule_for(slot) is None:
-            return True  # intrinsic slots always carry their stored value
+        plan = self._plans.plan_of(slot[0])
+        if plan is None:
+            return True  # no rule: reads the stored value (or fails there)
+        sid = plan.index.get(slot[1])
+        if sid is None or plan.rules[sid] is None:
+            return True  # intrinsic: always carries its stored value
         return slot not in self.out_of_date and self.host.has_slot_value(slot)
 
     def _schedule_request(
@@ -579,18 +546,12 @@ class IncrementalEngine:
             # their copy when they registered, or will at notification time.
             self._notify_waiters(slot, self.host.read_slot_value(slot))
             return
-        bindings = None
+        # Not ready means the slot has a plan, a sid, and a rule.
         plans = self._plans
-        if plans is not None:
-            plan = plans.plan_of(slot[0])
-            if plan is not None:
-                sid = plan.index.get(slot[1])
-                if sid is not None and plan.binding_specs[sid] is not None:
-                    bindings = plan.resolve_bindings(
-                        sid, slot[0], plans.instance_of(slot[0])
-                    )
-        if bindings is None:
-            bindings = self.host.resolved_inputs(slot)
+        plan = plans.plan_of(slot[0])
+        bindings = plan.resolve_bindings(
+            plan.index[slot[1]], slot[0], plans.instance_of(slot[0])
+        )
         pend = _Pending(
             bindings=bindings,
             reads_at_start=self.host.storage.disk.stats.reads,
@@ -676,26 +637,14 @@ class IncrementalEngine:
         iid = slot[0]
         # Re-fetch the executor from the *current* plan at compute time: a
         # subtype flip earlier in this wave may have swapped the shape.
-        rexec = None
-        plans = self._plans
-        if plans is not None:
-            plan = plans.plan_of(iid)
-            if plan is not None:
-                sid = plan.index.get(slot[1])
-                if sid is not None:
-                    rexec = plan.execs[sid]
         self.host.storage.touch(iid, dirty=True)
         values = pend.values
         try:
-            if rexec is None:
-                rule = self.host.rule_for(slot)
-                assert (
-                    rule is not None
-                ), f"compute scheduled for intrinsic {describe(slot)}"
-                value = rule.body(
-                    **{b.kw: b.assemble(iid, values) for b in pend.bindings}
-                )
-            elif rexec.positional:
+            # The executor comes from the *current* plan: a subtype flip
+            # earlier in this wave may have swapped the shape.
+            plan = self._plans.plan_of(iid)
+            rexec = plan.execs[plan.index[slot[1]]]
+            if rexec.positional:
                 value = rexec.fn(*[b.assemble(iid, values) for b in pend.bindings])
             else:
                 value = rexec.fn(
@@ -723,19 +672,11 @@ class IncrementalEngine:
             if binding.port is not None:
                 self.host.usage.observe_io(slot[0], binding.port, float(io_spent))
         # Special slot families.
-        if rexec is not None:
-            if rexec.special == 1:
-                self.out_of_date_constraints.discard(slot)
-                self.host.handle_constraint_result(slot, bool(value))
-            elif rexec.special == 2:
-                self.host.handle_subtype_result(slot, bool(value))
-        else:
-            name = slot[1]
-            if is_constraint_attr(name):
-                self.out_of_date_constraints.discard(slot)
-                self.host.handle_constraint_result(slot, bool(value))
-            elif is_subtype_attr(name):
-                self.host.handle_subtype_result(slot, bool(value))
+        if rexec.special == 1:
+            self.out_of_date_constraints.discard(slot)
+            self.host.handle_constraint_result(slot, bool(value))
+        elif rexec.special == 2:
+            self.host.handle_subtype_result(slot, bool(value))
         self._notify_waiters(slot, value)
 
     def _notify_waiters(self, slot: Slot, value: Any) -> None:

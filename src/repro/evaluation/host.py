@@ -2,11 +2,11 @@
 
 The incremental engine (:mod:`repro.evaluation.engine`) is deliberately
 ignorant of schemas, classes, and ports.  It sees the world through an
-:class:`EvaluationHost`: a dependency graph, a way to resolve a derived
-slot's rule and inputs into concrete *bindings*, raw slot-value storage, and
-callbacks for the two special slot families (constraints and predicate
-subtypes).  :class:`repro.core.database.Database` is the production host;
-tests use small synthetic hosts.
+:class:`EvaluationHost`: flattened slot plans that carry each slot's rule,
+dependents, and *binding* recipe, raw slot-value storage, and callbacks for
+the two special slot families (constraints and predicate subtypes).
+:class:`repro.core.database.Database` is the production host; tests use
+small synthetic hosts.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
-from repro.core.rules import Rule
 from repro.core.slots import Slot
-from repro.graph.depgraph import DependencyGraph
 from repro.storage.manager import StorageManager
 from repro.storage.usage import UsageStats
 
@@ -61,26 +59,20 @@ class EvaluationHost(Protocol):
 
     Attributes
     ----------
-    depgraph:
-        The slot dependency graph; maintained by the host, read by the
-        engine.
+    slot_plans:
+        ``plan_of(iid)`` -- the :class:`~repro.compile.slotplan.SlotPlan`
+        of an instance's current shape, or None once it is deleted -- and
+        ``instance_of(iid)``, the live connection table the plan's
+        crossing edges and bindings are joined against.
     storage:
         Gateway for instance touches (disk accounting).
     usage:
         Self-adaptive statistics (crossing counts, decaying averages).
     """
 
-    depgraph: DependencyGraph
+    slot_plans: Any
     storage: StorageManager
     usage: UsageStats
-
-    def rule_for(self, slot: Slot) -> Rule | None:
-        """The rule computing ``slot``, or None for intrinsic slots."""
-        ...
-
-    def resolved_inputs(self, slot: Slot) -> list[DepBinding]:
-        """The rule's inputs resolved against current connections."""
-        ...
 
     def read_slot_value(self, slot: Slot) -> Any:
         """Raw cached value of a slot (no evaluation, no touch)."""
@@ -92,15 +84,6 @@ class EvaluationHost(Protocol):
 
     def has_slot_value(self, slot: Slot) -> bool:
         """True when a cached value exists for the slot."""
-        ...
-
-    def receive_port_between(self, consumer: Slot, producer: Slot) -> str | None:
-        """The consumer-side port across which ``producer``'s value arrives.
-
-        Used for crossing statistics and marking priorities.  Returns None
-        for same-instance (local) dependency edges or when no connection
-        explains the edge (e.g. it was just broken).
-        """
         ...
 
     def handle_constraint_result(self, slot: Slot, holds: bool) -> None:

@@ -12,26 +12,21 @@ state rolls back with the transaction and rebuilds on restore for free.
 The query planner in :mod:`repro.dsl.query` answers equality/range
 ``where`` clauses, ``order by`` walks, and predicate-class ``select``\\ s
 from these structures instead of full-graph scans, choosing scan vs index
-with the static cost model of :mod:`repro.analysis.facts`.
-
-Set ``REPRO_NO_INDEX=1`` to disable maintenance and force every query
-back onto the naive scan path (the A/B escape hatch).
+with the static cost model of :mod:`repro.analysis.facts`;
+``Query.run_scan`` stays as the index-free reference every indexed answer
+is tested against.
 """
 
 from repro.index.manager import (
-    INDEX_DISABLED_ENV,
     AttrIndex,
     Extent,
     IndexManager,
     IndexStats,
-    indexes_enabled,
 )
 
 __all__ = [
-    "INDEX_DISABLED_ENV",
     "AttrIndex",
     "Extent",
     "IndexManager",
     "IndexStats",
-    "indexes_enabled",
 ]

@@ -29,7 +29,6 @@ incremental.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
@@ -39,15 +38,7 @@ from repro.core.rules import subtype_attr_name
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.instance import Instance
 
-#: set (to any non-empty value) to disable index maintenance and force the
-#: query planner onto the naive scan path.
-INDEX_DISABLED_ENV = "REPRO_NO_INDEX"
-
 _MISSING = object()
-
-
-def indexes_enabled() -> bool:
-    return not os.environ.get(INDEX_DISABLED_ENV)
 
 
 def group_of(value: Any) -> str:
@@ -274,7 +265,6 @@ class IndexManager:
 
     def __init__(self, db) -> None:
         self.db = db
-        self.enabled = indexes_enabled()
         self.stats = IndexStats()
         self.attr_indexes: dict[tuple[str, str], AttrIndex] = {}
         self.extents: dict[str, Extent] = {}
@@ -323,8 +313,6 @@ class IndexManager:
         self._cover = {}
         self._extent_cover = {}
         self.counts = {}
-        if not self.enabled:
-            return
         schema = self.db.schema
         for class_name, attrs in sorted(schema.indexes.items()):
             if class_name not in schema.classes:

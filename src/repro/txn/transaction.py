@@ -84,6 +84,11 @@ class TransactionManager:
     def rolling_back(self) -> bool:
         return self._rolling_back
 
+    @property
+    def autocommit_pending(self) -> bool:
+        """True while the active transaction is a primitive's implicit one."""
+        return self._autocommit_pending
+
     def add_commit_listener(self, listener: Callable[[Delta], None]) -> None:
         self._commit_listeners.append(listener)
 

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
-import pathlib
 import re
+
+from tests.doccheck import assert_documents_exactly, doc_path
 
 from repro.analysis.diagnostics import CODES
 
-DOC = pathlib.Path(__file__).parent.parent.parent / "docs" / "DIAGNOSTICS.md"
+DOC = doc_path("DIAGNOSTICS.md")
 HEADING = re.compile(r"^### (CA\d+) `(\w+)`", re.MULTILINE)
 
 
 def test_every_registered_code_is_documented_and_vice_versa():
-    documented = {code: sev for code, sev in HEADING.findall(DOC.read_text())}
-    assert set(documented) == set(CODES), (
-        "docs/DIAGNOSTICS.md and repro.analysis.diagnostics.CODES disagree"
+    assert_documents_exactly(
+        [code for code, __ in HEADING.findall(DOC.read_text())],
+        CODES,
+        DOC.name,
+        "repro.analysis.diagnostics.CODES",
     )
 
 

@@ -6,20 +6,20 @@
    branches are genuinely infeasible, so the concrete paths are a subset
    of the abstract ones.
 2. **Fold parity**: a database built with constraint folding behaves
-   identically to one built with ``REPRO_NO_FOLD=1``, in both engine
-   modes (``REPRO_NO_COMPILE`` off and on) -- same values, same
+   identically to one frozen without analysis facts
+   (:func:`tests.references.unfolded`), whether rule bodies run as
+   compiled closures or on the interpreter
+   (:func:`tests.references.interpreted`) -- same values, same
    ``ConstraintViolation`` outcomes on randomized update scripts.
 """
 
 from __future__ import annotations
 
-import os
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.references import interpreted, unfolded
 
 from repro.analysis import analyze_source
-from repro.compile import COMPILE_DISABLED_ENV, FOLD_DISABLED_ENV
 from repro.core.database import Database
 from repro.dsl import compile_schema
 from repro.errors import ConstraintViolation, DslRuntimeError, TransactionAborted
@@ -129,18 +129,11 @@ end;
 
 
 def _build(no_fold: bool, no_compile: bool):
-    if no_fold:
-        os.environ[FOLD_DISABLED_ENV] = "1"
-    if no_compile:
-        os.environ[COMPILE_DISABLED_ENV] = "1"
-    try:
+    with unfolded(no_fold):
         schema = compile_schema(FOLD_SRC)
-    finally:
-        os.environ.pop(FOLD_DISABLED_ENV, None)
-        os.environ.pop(COMPILE_DISABLED_ENV, None)
     expected = 0 if no_fold else 1
     assert schema.compile_stats["constraints_folded"] == expected
-    return Database(schema)
+    return Database(interpreted(schema) if no_compile else schema)
 
 
 def _apply(db, script):
@@ -162,13 +155,10 @@ def _apply(db, script):
             st.integers(min_value=-10, max_value=150),
         ),
         max_size=10,
-    )
+    ),
+    no_compile=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_folded_and_unfolded_databases_agree_in_both_engines(script):
-    logs = [
-        _apply(_build(no_fold, no_compile), script)
-        for no_fold in (False, True)
-        for no_compile in (False, True)
-    ]
-    assert logs[0] == logs[1] == logs[2] == logs[3]
+def test_folded_and_unfolded_databases_agree_in_both_engines(script, no_compile):
+    folded = _apply(_build(False, no_compile), script)
+    assert folded == _apply(_build(True, no_compile), script)

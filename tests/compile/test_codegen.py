@@ -2,15 +2,15 @@
 
 Covers the public contract of :mod:`repro.compile`: which bodies compile,
 which stay interpreted, how structurally identical bodies share one code
-object, the kwargs adapter of :class:`CompiledBody`, and the
-``REPRO_NO_COMPILE`` escape hatch.
+object, the kwargs adapter of :class:`CompiledBody`, and the interpreter
+fallback for bodies the generator declines.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.compile import COMPILE_DISABLED_ENV, CompiledBody, compile_frozen_schema
+from repro.compile import CompiledBody
 from repro.compile.codegen import compile_interpreter
 from repro.core.database import Database
 from repro.core.rules import AttributeTarget
@@ -61,7 +61,6 @@ class TestCompilePass:
         bodies = _rule_bodies(schema, "node")
         assert all(isinstance(b, CompiledBody) for b in bodies.values())
         stats = schema.compile_stats
-        assert stats["enabled"] is True
         assert stats["rules_compiled"] == 2
         assert stats["fallbacks"] == 0
         assert stats["native_bodies"] == 0
@@ -75,6 +74,15 @@ class TestCompilePass:
         assert db.get_attr(b, "total") == 7
         db.set_attr(a, "weight", 10)
         assert db.get_attr(b, "total") == 14
+
+    def test_compile_metrics_reflect_pass(self):
+        db = Database(compile_schema(CHAIN_SRC))
+        a = db.create("node", weight=1)
+        db.get_attr(a, "total")
+        flat = db.metrics().flatten()
+        assert flat["compile.rules_compiled"] == 2
+        assert flat["compile.plans_built"] >= 1
+        assert flat["compile.plan_instances"] >= 1
 
     def test_native_python_bodies_stay_native(self):
         schema = sum_node_schema()
@@ -187,44 +195,16 @@ class TestFallbacks:
         assert stats["fallbacks"] == 1
 
     def test_fallback_body_still_evaluates_via_interpreter(self, monkeypatch):
-        monkeypatch.setenv(COMPILE_DISABLED_ENV, "1")
-        db = Database(compile_schema(CHAIN_SRC))
+        def decline(interp, inputs, bool_mode, stats):
+            stats["fallbacks"] += 1
+
+        monkeypatch.setattr("repro.compile.compile_interpreter", decline)
+        schema = compile_schema(CHAIN_SRC)
+        assert schema.compile_stats["fallbacks"] == 2
+        bodies = _rule_bodies(schema, "node")
+        assert all(isinstance(b, _RuleInterpreter) for b in bodies.values())
+        db = Database(schema)
         a = db.create("node", weight=3)
         b = db.create("node", weight=4)
         db.connect(b, "inputs", a, "outputs")
         assert db.get_attr(b, "total") == 7
-
-
-class TestEscapeHatch:
-    def test_no_compile_env_keeps_interpreters(self, monkeypatch):
-        monkeypatch.setenv(COMPILE_DISABLED_ENV, "1")
-        schema = compile_schema(CHAIN_SRC)
-        assert schema.compile_stats["enabled"] is False
-        assert schema.compile_stats["rules_compiled"] == 0
-        bodies = _rule_bodies(schema, "node")
-        assert all(isinstance(b, _RuleInterpreter) for b in bodies.values())
-
-    def test_no_compile_env_disables_slot_plans(self, monkeypatch):
-        monkeypatch.setenv(COMPILE_DISABLED_ENV, "1")
-        db = Database(sum_node_schema())
-        assert db.slot_plans is None
-        assert db.engine._plans is None
-
-    def test_compile_metrics_reflect_pass(self):
-        db = Database(compile_schema(CHAIN_SRC))
-        a = db.create("node", weight=1)
-        db.get_attr(a, "total")
-        flat = db.metrics().flatten()
-        assert flat["compile.enabled"] == 1
-        assert flat["compile.rules_compiled"] == 2
-        assert flat["compile.plans_built"] >= 1
-        assert flat["compile.plan_instances"] >= 1
-
-
-class TestCompileFrozenSchemaDirect:
-    def test_disabled_pass_reports_only_flag(self, monkeypatch):
-        monkeypatch.setenv(COMPILE_DISABLED_ENV, "1")
-        schema = sum_node_schema()
-        stats = compile_frozen_schema(schema)
-        assert stats["enabled"] is False
-        assert stats["rules_compiled"] == 0

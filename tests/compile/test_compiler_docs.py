@@ -3,24 +3,28 @@
 Follows the tests/storage/test_storage_docs.py pattern: COMPILER.md is
 narrative, but every ``compile.*`` metric it mentions must exist, the
 ``compile`` namespace it owns must be covered completely, every cited
-test/benchmark file must exist, the escape-hatch variable must match the
-code, and the tutorial example must actually run.
+test/benchmark file must exist, and the tutorial example must actually
+run.
 """
 
 from __future__ import annotations
 
 import io
-import pathlib
 import re
 from contextlib import redirect_stdout
 
-from repro.compile import COMPILE_DISABLED_ENV
+from tests.doccheck import (
+    assert_cited_files_exist,
+    assert_cited_names_live,
+    assert_namespace_documented,
+    doc_path,
+)
+
 from repro.core.database import Database
 from repro.workloads import sum_node_schema
 
-DOC = pathlib.Path(__file__).parent.parent.parent / "docs" / "COMPILER.md"
+DOC = doc_path("COMPILER.md")
 METRIC_REF = re.compile(r"`(compile\.[a-z_]+)`")
-ENV_REF = re.compile(r"\bREPRO_[A-Z_]+\b")
 CODE_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
@@ -29,35 +33,19 @@ def live_metrics() -> set[str]:
 
 
 def test_every_cited_metric_is_live():
-    live = live_metrics()
-    cited = set(METRIC_REF.findall(DOC.read_text()))
-    assert cited, "COMPILER.md cites no compile.* metrics"
-    missing = cited - live
-    assert not missing, f"COMPILER.md cites unknown metrics {sorted(missing)}"
+    assert_cited_names_live(
+        METRIC_REF.findall(DOC.read_text()), live_metrics(), DOC.name
+    )
 
 
 def test_compile_namespace_fully_documented():
-    compile_metrics = {m for m in live_metrics() if m.startswith("compile.")}
-    cited = set(METRIC_REF.findall(DOC.read_text()))
-    assert compile_metrics <= cited, (
-        f"compile metrics missing from COMPILER.md: "
-        f"{sorted(compile_metrics - cited)}"
+    assert_namespace_documented(
+        "compile.", METRIC_REF.findall(DOC.read_text()), live_metrics(), DOC.name
     )
 
 
 def test_cited_test_and_bench_files_exist():
-    root = DOC.parent.parent
-    cited = re.findall(r"`((?:tests|benchmarks)/[\w/]+\.(?:py|json))`", DOC.read_text())
-    assert cited, "COMPILER.md cites no test or benchmark files"
-    for rel in cited:
-        assert (root / rel).exists(), f"COMPILER.md cites missing file {rel}"
-
-
-def test_escape_hatch_variable_matches_code():
-    names = set(ENV_REF.findall(DOC.read_text()))
-    assert names == {COMPILE_DISABLED_ENV}, (
-        f"COMPILER.md env vars {sorted(names)} != {{{COMPILE_DISABLED_ENV!r}}}"
-    )
+    assert_cited_files_exist(DOC.name)
 
 
 def test_tutorial_example_runs():

@@ -8,23 +8,18 @@ freeze-time pass swaps in a :class:`CompiledBody` whose ``__wrapped__``
 keeps the original ``_RuleInterpreter``.  For random input assignments the
 two must produce the same value or raise the same class of error.
 
-A second property drives whole databases: the same update script against a
-compiled and a ``REPRO_NO_COMPILE=1`` database (same schema text, with a
-constraint) must produce identical attribute values, identical
-``ConstraintViolation`` outcomes, and identical engine counters.
+Whole databases running on interpreter bodies are covered by
+``tests/evaluation/test_reference_oracles.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import COMPILE_DISABLED_ENV, CompiledBody
-from repro.core.database import Database
+from repro.compile import CompiledBody
 from repro.dsl import compile_schema
-from repro.errors import ConstraintViolation, DslRuntimeError, TransactionAborted
+from repro.errors import DslRuntimeError
 
 FUNCTIONS = {"dbl": lambda v: 2 * v + 1}
 CONSTANTS = {"kk": 7}
@@ -174,82 +169,3 @@ def test_compiled_body_equals_interpreter(body, x, y, fan, one, dangling):
             raise AssertionError(f"unexpected input {kw}")
 
     assert _outcome(compiled, kwargs) == _outcome(interpreter, kwargs)
-
-
-# -- end-to-end: databases must agree, including constraint outcomes --------
-
-E2E_SRC = """
-relationship dep is total : integer from plug; end;
-object class node is
-  relationships
-    inputs  : dep multi socket;
-    outputs : dep multi plug;
-  attributes
-    weight : integer;
-    total  : integer;
-  rules
-    total = begin
-        acc : integer;
-        acc := weight;
-        for each src related to inputs do
-            acc := acc + src.total;
-        end for;
-        return acc;
-    end;
-    outputs total = total;
-  constraints
-    cap : total <= 100;
-end;
-"""
-
-
-def _build(no_compile: bool):
-    if no_compile:
-        os.environ[COMPILE_DISABLED_ENV] = "1"
-    try:
-        db = Database(compile_schema(E2E_SRC))
-    finally:
-        os.environ.pop(COMPILE_DISABLED_ENV, None)
-    nodes = [db.create("node", weight=1) for __ in range(5)]
-    for up, dn in zip(nodes, nodes[1:]):
-        db.connect(dn, "inputs", up, "outputs")
-    return db, nodes
-
-
-def _apply(db, nodes, script):
-    log = []
-    for idx, value in script:
-        try:
-            db.set_attr(nodes[idx], "weight", value)
-            log.append(("ok", None))
-        except (ConstraintViolation, TransactionAborted) as exc:
-            # Auto-committed primitives surface the violation as an abort;
-            # either way both backends must agree on class and message.
-            log.append((type(exc).__name__, str(exc)))
-    log.append(("finals", tuple(db.get_attr(i, "total") for i in nodes)))
-    return log
-
-
-@given(
-    script=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=4),
-            st.integers(min_value=-10, max_value=60),
-        ),
-        max_size=12,
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_database_runs_identically_with_and_without_compilation(script):
-    db_c, nodes_c = _build(no_compile=False)
-    db_i, nodes_i = _build(no_compile=True)
-    assert db_c.slot_plans is not None
-    assert db_i.slot_plans is None
-
-    assert _apply(db_c, nodes_c, script) == _apply(db_i, nodes_i, script)
-
-    c, i = db_c.engine.counters, db_i.engine.counters
-    assert c.waves == i.waves
-    assert c.slots_marked == i.slots_marked
-    assert c.mark_edge_visits == i.mark_edge_visits
-    assert c.rule_evaluations == i.rule_evaluations

@@ -3,19 +3,19 @@
 ``Schema.freeze`` folds every constraint and subtype predicate the
 interval analysis proved always-true: the synthetic rule keeps its slot
 but loses its inputs and body, so it is evaluated exactly once at
-instance creation and never re-marked.  ``REPRO_NO_FOLD=1`` keeps the
-original predicate live; both arms must agree on every observable
-outcome -- the property the A/B tests here and the hypothesis script in
-``tests/integration`` pin down.
+instance creation and never re-marked.  The reference is a schema frozen
+without analysis facts (:func:`tests.references.unfolded`), which keeps
+the original predicate live; both arms must agree on every observable
+outcome -- pinned by the A/B tests here and the hypothesis scripts in
+``tests/analysis/test_properties.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
+from tests.references import unfolded
 
-from repro.compile import FOLD_DISABLED_ENV, fold_frozen_schema
+from repro.compile import fold_frozen_schema
 from repro.core.database import Database
 from repro.dsl import compile_schema
 from repro.errors import ConstraintViolation, TransactionAborted
@@ -41,18 +41,13 @@ end object;
 
 
 def _schema(no_fold: bool = False):
-    if no_fold:
-        os.environ[FOLD_DISABLED_ENV] = "1"
-    try:
+    with unfolded(no_fold):
         return compile_schema(SRC)
-    finally:
-        os.environ.pop(FOLD_DISABLED_ENV, None)
 
 
 def test_freeze_folds_the_provable_constraint():
     schema = _schema()
     stats = schema.compile_stats
-    assert stats["fold_enabled"] is True
     assert stats["constraints_folded"] == 1
     rule = schema.resolved("task").rule_for["__constraint__level_ok"]
     assert rule.inputs == {}
@@ -65,9 +60,8 @@ def test_contingent_constraint_stays_live():
     assert rule.inputs
 
 
-def test_fold_env_hatch_keeps_predicates_live():
+def test_unfolded_reference_keeps_predicates_live():
     schema = _schema(no_fold=True)
-    assert schema.compile_stats["fold_enabled"] is False
     assert schema.compile_stats["constraints_folded"] == 0
     rule = schema.resolved("task").rule_for["__constraint__level_ok"]
     assert rule.inputs

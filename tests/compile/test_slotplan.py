@@ -3,20 +3,16 @@
 The engine's hot loops trust :class:`repro.compile.slotplan.SlotPlan` to be
 an exact flattening of the string-keyed dependency structure, and trust the
 :class:`SlotPlanCache` to drop a memoized plan the moment an instance's
-effective shape changes.  These tests pin both down, plus the A/B contract:
-a plan-driven engine produces byte-identical counters to the classic
-dependency-graph walk.
+effective shape changes.  These tests pin both down; that the engine's
+plan-driven marking visits exactly the dependency graph's ``Could_Change``
+region is ``tests/evaluation/test_reference_oracles.py``'s property.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+from tests.conftest import give_cars
+from tests.references import unfolded
 
-from tests.conftest import give_cars, make_person_schema
-
-from repro.compile import COMPILE_DISABLED_ENV
 from repro.core.database import Database
 from repro.workloads import sum_node_schema
 from repro.workloads.generators import (
@@ -103,85 +99,11 @@ class TestInvalidation:
         assert fresh is not stale  # shape keys embed the schema version
 
 
-class TestABParity:
-    """Same workload, plans on vs. REPRO_NO_COMPILE=1: identical counters."""
-
-    SCRIPT = r"""
-import json, sys
-sys.path.insert(0, "src")
-from repro.core.database import Database
-from repro.workloads import sum_node_schema
-from repro.workloads.generators import (
-    build_random_dag, random_update_script, run_update_script,
-)
-
-db = Database(sum_node_schema(), pool_capacity=256, fast_path=True)
-nodes = build_random_dag(db, 40, edge_prob=0.3, seed=5)
-for iid in nodes:
-    db.get_attr(iid, "total")
-script = random_update_script(nodes, 120, seed=9, query_fraction=0.25)
-run_update_script(db, script, batch=False)
-finals = [db.get_attr(iid, "total") for iid in nodes]
-c = db.engine.counters
-print(json.dumps({
-    "waves": c.waves,
-    "slots_marked": c.slots_marked,
-    "mark_edge_visits": c.mark_edge_visits,
-    "rule_evaluations": c.rule_evaluations,
-    "finals": finals,
-}))
-"""
-
-    def _run(self, no_compile: bool) -> dict:
-        env = dict(os.environ)
-        env.pop(COMPILE_DISABLED_ENV, None)
-        if no_compile:
-            env[COMPILE_DISABLED_ENV] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-            check=True,
-        )
-        import json
-
-        return json.loads(proc.stdout)
-
-    def test_counters_and_values_identical(self):
-        compiled = self._run(no_compile=False)
-        interpreted = self._run(no_compile=True)
-        assert compiled == interpreted
-
-
-class TestInProcessParity:
-    def test_mark_fanout_matches_legacy_engine(self):
-        """Two in-process databases, one with plans disabled via its cache."""
-        results = []
-        for disable in (False, True):
-            db = Database(sum_node_schema(), pool_capacity=256, fast_path=True)
-            if disable:
-                db.slot_plans = None
-                db.engine._plans = None
-            nodes = build_random_dag(db, 30, edge_prob=0.3, seed=3)
-            for iid in nodes:
-                db.get_attr(iid, "total")
-            script = random_update_script(nodes, 80, seed=4, query_fraction=0.0)
-            run_update_script(db, script, batch=False)
-            finals = tuple(db.get_attr(iid, "total") for iid in nodes)
-            c = db.engine.counters
-            results.append(
-                (c.waves, c.slots_marked, c.mark_edge_visits, c.rule_evaluations, finals)
-            )
-        assert results[0] == results[1]
-
-
 class TestCostOrdering:
     def test_ruled_slots_sorted_by_descending_ops(self, db):
         """With freeze-time facts present, the plan assigns low sids to
         the expensive rules -- the For-Each accumulator must come before
-        the one-op transmit rule -- stably on the legacy order."""
+        the one-op transmit rule -- stably on the declared order."""
         facts = db.schema.analysis_facts
         assert facts is not None
         a = db.create("node", weight=1)
@@ -195,19 +117,15 @@ class TestCostOrdering:
         assert ops == sorted(ops, reverse=True)
         assert plan.index["total"] < plan.index["outputs>total"]
 
-    def test_ordering_never_changes_engine_counters(self, monkeypatch):
+    def test_ordering_never_changes_engine_counters(self):
         """The cost permutation must be invisible to every counter: build
-        one database with facts and one with analysis disabled and replay
+        one database with facts and one frozen without them and replay
         the same workload."""
-        from repro.analysis.facts import ANALYSIS_DISABLED_ENV
-
         results = []
         for disable in (False, True):
-            if disable:
-                monkeypatch.setenv(ANALYSIS_DISABLED_ENV, "1")
-            else:
-                monkeypatch.delenv(ANALYSIS_DISABLED_ENV, raising=False)
-            db = Database(sum_node_schema(), pool_capacity=256)
+            with unfolded(disable):
+                schema = sum_node_schema()
+            db = Database(schema, pool_capacity=256)
             assert (db.schema.analysis_facts is None) is disable
             nodes = build_random_dag(db, 25, edge_prob=0.3, seed=11)
             script = random_update_script(nodes, 60, seed=12, query_fraction=0.2)

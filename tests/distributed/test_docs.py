@@ -4,12 +4,13 @@ docs/OBSERVABILITY.md is held to ``Database.metrics()``."""
 
 from __future__ import annotations
 
-import pathlib
 import re
+
+from tests.doccheck import assert_documents_exactly, assert_listed_once, doc_path
 
 from repro.distributed import Federation
 
-DOC = pathlib.Path(__file__).parent.parent.parent / "docs" / "DISTRIBUTED.md"
+DOC = doc_path("DISTRIBUTED.md")
 METRIC_BULLET = re.compile(r"^- `(federation\.[a-z_]+)`", re.MULTILINE)
 FED_EVENTS = ("fed_batch_shipped", "fed_batch_applied", "fed_migration")
 
@@ -19,18 +20,16 @@ def documented_metrics() -> list[str]:
 
 
 def test_every_federation_metric_is_documented_and_vice_versa():
-    live = set(Federation().metrics().flatten())
-    documented = set(documented_metrics())
-    assert documented == live, (
-        "docs/DISTRIBUTED.md and Federation.metrics() disagree: "
-        f"undocumented={sorted(live - documented)} "
-        f"stale={sorted(documented - live)}"
+    assert_documents_exactly(
+        documented_metrics(),
+        Federation().metrics().flatten(),
+        DOC.name,
+        "Federation.metrics()",
     )
 
 
 def test_no_metric_is_documented_twice():
-    documented = documented_metrics()
-    assert len(documented) == len(set(documented))
+    assert_listed_once(documented_metrics(), DOC.name)
 
 
 def test_federation_events_are_referenced():

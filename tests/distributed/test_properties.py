@@ -5,20 +5,14 @@ of three sites.  The same graph is built twice -- once in a single
 database with ordinary connections, once scattered across a federation
 where every cross-site edge becomes a mirror link -- and after
 ``sync_until_quiescent`` every node's derived total must agree, before
-and after a round of weight updates.  The property runs in both compiled
-and ``REPRO_NO_COMPILE=1`` engines (the flag is read at database
-construction, so it wraps the whole build-and-run).
+and after a round of weight updates.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import COMPILE_DISABLED_ENV
 from repro.core.database import Database
 from repro.distributed import Federation
 from repro.workloads import sum_node_schema
@@ -98,30 +92,24 @@ def totals_federated(fed, nodes):
     return [fed.site(site).get_attr(iid, "total") for site, iid in nodes]
 
 
-def run_property(spec, no_compile: bool):
-    if no_compile:
-        os.environ[COMPILE_DISABLED_ENV] = "1"
-    try:
-        db, ids = single_site(spec)
-        fed, nodes = federated(spec)
-        fed.sync_until_quiescent(max_passes=64)
-        assert totals_federated(fed, nodes) == totals_single(db, ids)
+def run_property(spec):
+    db, ids = single_site(spec)
+    fed, nodes = federated(spec)
+    fed.sync_until_quiescent(max_passes=64)
+    assert totals_federated(fed, nodes) == totals_single(db, ids)
 
-        for slot, value in spec[4]:
-            db.set_attr(ids[slot], "weight", value)
-            site, iid = nodes[slot]
-            fed.site(site).set_attr(iid, "weight", value)
-        fed.sync_until_quiescent(max_passes=64)
-        assert totals_federated(fed, nodes) == totals_single(db, ids)
-    finally:
-        os.environ.pop(COMPILE_DISABLED_ENV, None)
+    for slot, value in spec[4]:
+        db.set_attr(ids[slot], "weight", value)
+        site, iid = nodes[slot]
+        fed.site(site).set_attr(iid, "weight", value)
+    fed.sync_until_quiescent(max_passes=64)
+    assert totals_federated(fed, nodes) == totals_single(db, ids)
 
 
-@pytest.mark.parametrize("no_compile", [False, True], ids=["compiled", "interpreted"])
 @settings(max_examples=25, deadline=None)
 @given(spec=dag_spec())
-def test_federation_matches_single_site(no_compile, spec):
-    run_property(spec, no_compile)
+def test_federation_matches_single_site(spec):
+    run_property(spec)
 
 
 def test_known_shape_matches_in_both_modes():
@@ -133,5 +121,4 @@ def test_known_shape_matches_in_both_modes():
         [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)],
         [(0, 9), (3, 0)],
     )
-    for no_compile in (False, True):
-        run_property(spec, no_compile)
+    run_property(spec)

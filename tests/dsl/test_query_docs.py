@@ -8,8 +8,9 @@ Python snippet must run.
 
 from __future__ import annotations
 
-import pathlib
 import re
+
+from tests.doccheck import assert_documents_exactly, doc_path
 
 from repro.core.database import Database
 from repro.dsl import compile_schema, run_query
@@ -17,7 +18,7 @@ from repro.dsl.query import compile_query
 from repro.env.milestones import MilestoneManager
 from repro.errors import DslSyntaxError, QueryError, SchemaError
 
-DOC = pathlib.Path(__file__).parent.parent.parent / "docs" / "QUERY.md"
+DOC = doc_path("QUERY.md")
 METRIC_BULLET = re.compile(r"^- `(index(?:\.[a-z_]+)+)`", re.MULTILINE)
 
 ACCESS_PATHS = {"scan", "extent", "index_eq", "index_range", "index_order"}
@@ -30,12 +31,11 @@ def test_documented_index_metrics_match_live_section():
     )
     schema.add_index("item", "weight")
     schema.freeze()
-    live = {f"index.{key}" for key in Database(schema).indexes.metrics()}
-    documented = set(METRIC_BULLET.findall(DOC.read_text()))
-    assert documented == live, (
-        f"docs/QUERY.md and IndexManager.metrics() disagree: "
-        f"undocumented={sorted(live - documented)} "
-        f"stale={sorted(documented - live)}"
+    assert_documents_exactly(
+        METRIC_BULLET.findall(DOC.read_text()),
+        {f"index.{key}" for key in Database(schema).indexes.metrics()},
+        DOC.name,
+        "IndexManager.metrics()",
     )
 
 

@@ -11,7 +11,6 @@ from repro.core.database import Database
 from repro.dsl import compile_schema
 from repro.dsl.query import compile_query, run_query
 from repro.errors import QueryError
-from repro.index import INDEX_DISABLED_ENV
 from repro.obs.events import IndexSweep, QueryPlanned
 
 SOURCE = """
@@ -137,18 +136,6 @@ class TestSoundnessFallbacks:
             query.run(db)
         assert str(scan_err.value) == str(run_err.value)
 
-    def test_disabled_indexes_fall_back_to_scan(self, db, monkeypatch):
-        monkeypatch.setenv(INDEX_DISABLED_ENV, "1")
-        schema = compile_schema(SOURCE, functions={"mixup": mixup}, freeze=False)
-        schema.add_index("item", "bucket")
-        schema.freeze()
-        plain = Database(schema)
-        for i in range(20):
-            plain.create("item", bucket=i % 3, score=i)
-        query = compile_query(schema, "select item where bucket == 1")
-        assert query.plan(plain).access_path == "scan"
-        assert query.run(plain) == query.run_scan(plain)
-
 
 class TestFreshness:
     def test_index_sees_updates_between_runs(self, db):
@@ -205,14 +192,13 @@ class TestObservability:
 
 
 class TestNoCompileEngine:
-    def test_planner_consistent_without_compiled_rules(self, monkeypatch):
-        from repro.compile import COMPILE_DISABLED_ENV
+    def test_planner_consistent_without_compiled_rules(self):
+        from tests.references import interpreted
 
-        monkeypatch.setenv(COMPILE_DISABLED_ENV, "1")
         schema = compile_schema(SOURCE, functions={"mixup": mixup}, freeze=False)
         schema.add_index("item", "twice")
         schema.freeze()
-        db = Database(schema)
+        db = Database(interpreted(schema))
         for i in range(30):
             db.create("item", bucket=i % 5, score=i)
         query = compile_query(schema, "select item where twice == 4")

@@ -211,10 +211,43 @@ class TestErrorPaths:
             with db.batch():
                 db.set_attr(nodes[0], "weight", 9)
                 db.set_attr(nodes[0], "no_such_attr", 1)
-        # The first update survives (it was valid) and its staleness was
-        # not lost in the unwind.
-        assert db.get_attr(nodes[0], "weight") == 9
-        assert db.get_attr(nodes[-1], "total") == 9 + 3
+        # The batch is one transaction: the first update is rolled back
+        # with it, and no staleness was lost in the unwind.
+        assert not db.txn.in_transaction
+        assert db.get_attr(nodes[0], "weight") == 1
+        assert db.get_attr(nodes[-1], "total") == 4
+
+    def test_foreign_exception_rolls_back_the_implicit_transaction(self, db):
+        """Regression: the block's writes used to stay applied inside an
+        implicit transaction nothing would ever commit or abort, so the
+        next ``begin`` raised "a transaction is already active"."""
+        a = db.create("node", weight=1)
+        commits = db.txn.commits
+        with pytest.raises(ValueError):
+            with db.batch():
+                db.set_attr(a, "weight", 5)
+                raise ValueError("not ours")
+        assert not db.txn.in_transaction
+        assert db.get_attr(a, "weight") == 1
+        assert db.get_attr(a, "total") == 1
+        assert db.txn.commits == commits
+        db.begin()
+        db.set_attr(a, "weight", 7)
+        db.commit()
+        assert db.get_attr(a, "total") == 7
+
+    def test_foreign_exception_inside_explicit_transaction_is_left_to_it(self, db):
+        a = db.create("node", weight=1)
+        db.begin()
+        with pytest.raises(ValueError):
+            with db.batch():
+                db.set_attr(a, "weight", 5)
+                raise ValueError("not ours")
+        # The enclosing transaction still owns the write and its fate.
+        assert db.txn.in_transaction
+        assert db.get_attr(a, "weight") == 5
+        db.abort()
+        assert db.get_attr(a, "weight") == 1
 
     def test_engine_usable_after_batch_abort(self):
         db = Database(constrained_schema())

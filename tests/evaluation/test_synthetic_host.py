@@ -1,51 +1,72 @@
 """The engine against a minimal synthetic host.
 
 Validates the :class:`~repro.evaluation.host.EvaluationHost` contract
-independently of the full database: a hand-wired host with three slots
-(one intrinsic, two derived) drives marking, demand, collection, and the
-constraint callback exactly as documented.
+independently of the full database: a host with one hand-built
+:class:`~repro.compile.slotplan.SlotPlan` of three slots (one intrinsic,
+two derived) drives marking, demand, collection, and the constraint
+callback exactly as documented.  Everything the engine knows about rules,
+dependents, and bindings comes from that plan.
 """
 
 import pytest
 
+from repro.compile.slotplan import _B_LOCAL, ATTR, CONSTRAINT, PLAIN, RuleExec, SlotPlan
 from repro.core.rules import AttributeTarget, Local, Rule
 from repro.errors import ConstraintViolation
 from repro.evaluation.engine import IncrementalEngine
-from repro.evaluation.host import DepBinding
-from repro.graph.depgraph import DependencyGraph
+from repro.evaluation.host import EvaluationHost
 from repro.storage.manager import StorageManager
+
+
+def build_plan(derived) -> SlotPlan:
+    """A plan over ``x`` (intrinsic) plus ``(name, input, body, special)``
+    derived slots, each reading one local attribute."""
+    plan = SlotPlan()
+    plan.names = ["x"] + [name for name, *__ in derived]
+    plan.index = {name: sid for sid, name in enumerate(plan.names)}
+    size = len(plan.names)
+    plan.rules = [None] * size
+    plan.execs = [None] * size
+    plan.special = [PLAIN] * size
+    plan.kind = [ATTR] * size
+    plan.port_of = [None] * size
+    plan.value_of = [None] * size
+    plan.binding_specs = [None] * size
+    dependents = [[] for __ in range(size)]
+    for name, source, body, special in derived:
+        sid = plan.index[name]
+        plan.rules[sid] = Rule(AttributeTarget(name), {source: Local(source)}, body)
+        plan.execs[sid] = RuleExec(body, False, special)
+        plan.special[sid] = special
+        plan.binding_specs[sid] = ((_B_LOCAL, source, source, None, False, None, None),)
+        dependents[plan.index[source]].append(sid)
+    plan.local_dependents = [tuple(sids) for sids in dependents]
+    return plan
+
+
+CHAIN = [
+    ("d", "x", lambda x: x * 2, PLAIN),
+    ("q", "d", lambda d: d + 1, PLAIN),
+]
 
 
 class SyntheticHost:
     """Three slots on one instance: x (intrinsic) -> d -> q."""
 
-    def __init__(self) -> None:
-        self.depgraph = DependencyGraph()
+    def __init__(self, derived=CHAIN) -> None:
+        self.plan = build_plan(derived)
+        self.slot_plans = self  # plan_of / instance_of below
         self.storage = StorageManager(block_capacity=256, pool_capacity=4)
         self.usage = self.storage.usage
         self.values = {(1, "x"): 10}
-        self.rules = {
-            (1, "d"): Rule(
-                AttributeTarget("d"), {"x": Local("x")}, lambda x: x * 2
-            ),
-            (1, "q"): Rule(
-                AttributeTarget("q"), {"d": Local("d")}, lambda d: d + 1
-            ),
-        }
-        self.depgraph.add_edge((1, "x"), (1, "d"))
-        self.depgraph.add_edge((1, "d"), (1, "q"))
         self.storage.place(1, 64)
         self.constraint_results = []
 
-    def rule_for(self, slot):
-        return self.rules.get(slot)
+    def plan_of(self, iid):
+        return self.plan if iid == 1 else None
 
-    def resolved_inputs(self, slot):
-        rule = self.rules[slot]
-        return [
-            DepBinding(kw=kw, slots=[(slot[0], decl.attr)])
-            for kw, decl in rule.inputs.items()
-        ]
+    def instance_of(self, iid):
+        return None  # no ports: bindings never consult connections
 
     def read_slot_value(self, slot):
         return self.values[slot]
@@ -55,9 +76,6 @@ class SyntheticHost:
 
     def has_slot_value(self, slot):
         return slot in self.values
-
-    def receive_port_between(self, consumer, producer):
-        return None  # single instance: all edges are local
 
     def handle_constraint_result(self, slot, holds):
         self.constraint_results.append((slot, holds))
@@ -71,6 +89,7 @@ class SyntheticHost:
 class TestContract:
     def test_demand_pulls_the_chain(self):
         host = SyntheticHost()
+        assert isinstance(host, EvaluationHost)
         engine = IncrementalEngine(host)
         assert engine.demand((1, "q")) == 21
         assert host.values[(1, "d")] == 20
@@ -98,13 +117,9 @@ class TestContract:
         assert engine.counters.delta_since(before).rule_evaluations == 2
 
     def test_constraint_callback_invoked(self):
-        host = SyntheticHost()
-        host.rules[(1, "__constraint__cap")] = Rule(
-            AttributeTarget("__constraint__cap"),
-            {"d": Local("d")},
-            lambda d: d < 1000,
+        host = SyntheticHost(
+            CHAIN + [("__constraint__cap", "d", lambda d: d < 1000, CONSTRAINT)]
         )
-        host.depgraph.add_edge((1, "d"), (1, "__constraint__cap"))
         engine = IncrementalEngine(host)
         assert engine.demand((1, "__constraint__cap")) is True
         assert host.constraint_results == [((1, "__constraint__cap"), True)]

@@ -11,7 +11,7 @@ import pytest
 from repro.core.database import Database
 from repro.dsl import compile_schema
 from repro.errors import SchemaError
-from repro.index import INDEX_DISABLED_ENV, IndexManager, indexes_enabled
+from repro.index import IndexManager
 
 SOURCE = """
 object class item is
@@ -251,15 +251,6 @@ class TestMetricsAndDisabling:
         assert snapshot["extents"] == 1  # heavy_item
         assert snapshot["entries"] == 1
         assert snapshot["inserts"] == 1
-
-    def test_env_hatch_disables_maintenance(self, monkeypatch):
-        monkeypatch.setenv(INDEX_DISABLED_ENV, "1")
-        assert not indexes_enabled()
-        db = make_db("weight")
-        assert not db.indexes.enabled
-        db.create("item", weight=1)
-        assert db.indexes.attr_indexes == {}
-        assert db.indexes.metrics()["entries"] == 0
 
     def test_manager_rebuild_matches_incremental(self):
         db = make_db("weight")

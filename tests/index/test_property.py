@@ -4,14 +4,13 @@ Random scripts of creates, updates, and deletes churn attribute values,
 derived slots, and predicate-subtype membership; after every script a
 battery of queries must answer identically through :meth:`Query.run`
 (planner, indexes, extents) and :meth:`Query.run_scan` (the naive
-reference) -- under both the compiled engine and ``REPRO_NO_COMPILE=1``.
+reference) -- with rule bodies compiled and with every body swapped back
+to its interpreter (:func:`tests.references.interpreted`).
 """
 
-import os
-
 from hypothesis import HealthCheck, given, settings, strategies as st
+from tests.references import interpreted
 
-from repro.compile import COMPILE_DISABLED_ENV
 from repro.core.database import Database
 from repro.dsl import compile_schema
 from repro.dsl.query import compile_query
@@ -54,11 +53,13 @@ QUERIES = [
 ]
 
 
-def make_db():
+def make_db(interpret: bool = False):
     schema = compile_schema(SOURCE, freeze=False)
     for attr in ("bucket", "score", "twice"):
         schema.add_index("item", attr)
     schema.freeze()
+    if interpret:
+        interpreted(schema)
     return Database(schema, pool_capacity=256), schema
 
 
@@ -106,11 +107,7 @@ def test_indexed_equals_scan_compiled_engine(ops):
 @given(ops=ops_strategy)
 @settings(**COMMON)
 def test_indexed_equals_scan_interpreted_engine(ops):
-    os.environ[COMPILE_DISABLED_ENV] = "1"
-    try:
-        db, schema = make_db()
-    finally:
-        os.environ.pop(COMPILE_DISABLED_ENV, None)
+    db, schema = make_db(interpret=True)
     run_script(db, schema, ops)
 
 

@@ -4,15 +4,16 @@ same way docs/DIAGNOSTICS.md is held to the diagnostic codes."""
 
 from __future__ import annotations
 
-import pathlib
 import re
 from dataclasses import fields
+
+from tests.doccheck import assert_documents_exactly, assert_listed_once, doc_path
 
 from repro.core.database import Database
 from repro.obs.events import EVENT_TYPES
 from repro.workloads import sum_node_schema
 
-DOC = pathlib.Path(__file__).parent.parent.parent / "docs" / "OBSERVABILITY.md"
+DOC = doc_path("OBSERVABILITY.md")
 METRIC_BULLET = re.compile(r"^- `([a-z_]+(?:\.[a-z_]+)+)`", re.MULTILINE)
 EVENT_HEADING = re.compile(r"^### `(\w+)`$", re.MULTILINE)
 
@@ -22,29 +23,29 @@ def documented_metrics() -> list[str]:
 
 
 def test_every_live_metric_is_documented_and_vice_versa():
-    live = set(Database(sum_node_schema()).metrics().flatten())
-    documented = set(documented_metrics())
-    assert documented == live, (
-        "docs/OBSERVABILITY.md and Database.metrics() disagree: "
-        f"undocumented={sorted(live - documented)} "
-        f"stale={sorted(documented - live)}"
+    assert_documents_exactly(
+        documented_metrics(),
+        Database(sum_node_schema()).metrics().flatten(),
+        DOC.name,
+        "Database.metrics()",
     )
 
 
 def test_no_metric_is_documented_twice():
-    documented = documented_metrics()
-    assert len(documented) == len(set(documented))
+    assert_listed_once(documented_metrics(), DOC.name)
 
 
 def test_every_event_type_is_documented_and_vice_versa():
     headings = EVENT_HEADING.findall(DOC.read_text())
     # The metric sections also use ### headings, but only with dotted
     # backticked names; event headings are bare type names.
-    documented = {h for h in headings if h in EVENT_TYPES or "." not in h}
-    assert documented == set(EVENT_TYPES), (
-        "docs/OBSERVABILITY.md and repro.obs.EVENT_TYPES disagree"
+    assert_listed_once(headings, DOC.name)
+    assert_documents_exactly(
+        [h for h in headings if h in EVENT_TYPES or "." not in h],
+        EVENT_TYPES,
+        DOC.name,
+        "repro.obs.EVENT_TYPES",
     )
-    assert len(headings) == len(set(headings))
 
 
 def test_every_event_field_is_documented_in_its_section():

@@ -4,16 +4,17 @@ frame types and their fields, the op table, every ``ServerConfig`` knob
 
 from __future__ import annotations
 
-import pathlib
 import re
 from dataclasses import fields
+
+from tests.doccheck import assert_documents_exactly, doc_path
 
 from repro.core.database import Database
 from repro.server.mux import ServerConfig, SessionMultiplexer
 from repro.server.protocol import OPS, REQUEST_TYPES, RESPONSE_TYPES, TXN_STATUSES
 from repro.workloads import sum_node_schema
 
-DOC = pathlib.Path(__file__).parent.parent.parent / "docs" / "SERVER.md"
+DOC = doc_path("SERVER.md")
 TYPE_HEADING = re.compile(r"^### `(\w+)`$", re.MULTILINE)
 OP_ROW = re.compile(r"^\| `(\w+)` \| `([^`]*)` \|", re.MULTILINE)
 KNOB_BULLET = re.compile(r"^- `(\w+)` \(default `([^`]*)`\)", re.MULTILINE)
@@ -35,11 +36,7 @@ def _sections(text: str) -> dict[str, str]:
 def test_every_frame_type_documented_with_its_fields():
     sections = _sections(DOC.read_text())
     live = {**REQUEST_TYPES, **RESPONSE_TYPES}
-    assert set(sections) == set(live), (
-        "docs/SERVER.md frame-type headings disagree with the protocol "
-        f"registries: missing={sorted(set(live) - set(sections))} "
-        f"stale={sorted(set(sections) - set(live))}"
-    )
+    assert_documents_exactly(sections, live, DOC.name, "the protocol registries")
     for name in REQUEST_TYPES:
         for field in REQUEST_TYPES[name]:
             assert f"`{field}`" in sections[name], (
@@ -59,12 +56,9 @@ def test_every_txn_status_documented():
 
 
 def test_op_table_matches_registry():
-    rows = dict(OP_ROW.findall(DOC.read_text()))
-    assert set(rows) == set(OPS), (
-        f"op table disagrees with OPS registry: "
-        f"missing={sorted(set(OPS) - set(rows))} "
-        f"stale={sorted(set(rows) - set(OPS))}"
-    )
+    found = OP_ROW.findall(DOC.read_text())
+    assert_documents_exactly([name for name, __ in found], OPS, DOC.name, "OPS")
+    rows = dict(found)
     for name, args in rows.items():
         # The documented argument list must match the registered arity.
         assert len(args.split(", ")) == OPS[name], (
@@ -74,14 +68,13 @@ def test_op_table_matches_registry():
 
 
 def test_every_config_knob_documented_with_true_default():
-    documented = dict(KNOB_BULLET.findall(DOC.read_text()))
+    found = KNOB_BULLET.findall(DOC.read_text())
     config = ServerConfig()
     live = {f.name: getattr(config, f.name) for f in fields(ServerConfig)}
-    assert set(documented) == set(live), (
-        "docs/SERVER.md knob list disagrees with ServerConfig: "
-        f"missing={sorted(set(live) - set(documented))} "
-        f"stale={sorted(set(documented) - set(live))}"
+    assert_documents_exactly(
+        [name for name, __ in found], live, DOC.name, "ServerConfig"
     )
+    documented = dict(found)
     for name, doc_default in documented.items():
         assert doc_default == str(live[name]), (
             f"knob {name!r}: documented default {doc_default!r} != "
@@ -92,12 +85,11 @@ def test_every_config_knob_documented_with_true_default():
 def test_every_server_metric_documented_and_vice_versa():
     db = Database(sum_node_schema())
     mux = SessionMultiplexer(db)
-    live = {f"server.{key}" for key in db.metrics().as_dict()["server"]}
-    documented = set(METRIC_BULLET.findall(DOC.read_text()))
-    assert documented == live, (
-        "docs/SERVER.md and the server metrics section disagree: "
-        f"undocumented={sorted(live - documented)} "
-        f"stale={sorted(documented - live)}"
+    assert_documents_exactly(
+        METRIC_BULLET.findall(DOC.read_text()),
+        {f"server.{key}" for key in db.metrics().as_dict()["server"]},
+        DOC.name,
+        "the server metrics section",
     )
     latency = db.metrics().as_dict()["latency"]
     assert "request" in latency

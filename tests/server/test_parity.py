@@ -7,19 +7,14 @@ lists) must agree on *everything*: which transactions committed and which
 failed (with the same reasons), how many CC restarts happened, every
 per-op result, and the final durable state of the database.  Hypothesis
 generates adversarial workloads -- overlapping writers and readers over a
-shared pool of instances plus per-transaction creates -- and the property
-runs in both compiled and ``REPRO_NO_COMPILE=1`` engines.
+shared pool of instances plus per-transaction creates.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import COMPILE_DISABLED_ENV
 from repro.core.database import Database
 from repro.persistence.faults import database_fingerprint
 from repro.server.mux import SessionMultiplexer
@@ -28,14 +23,9 @@ from repro.txn.manager import MultiUserScheduler
 from repro.workloads import sum_node_schema
 
 
-def build_db(no_compile: bool) -> tuple[Database, list[int]]:
-    """A fresh database (compiled or interpreted) with 4 shared nodes."""
-    if no_compile:
-        os.environ[COMPILE_DISABLED_ENV] = "1"
-    try:
-        db = Database(sum_node_schema(), pool_capacity=128)
-    finally:
-        os.environ.pop(COMPILE_DISABLED_ENV, None)
+def build_db() -> tuple[Database, list[int]]:
+    """A fresh database with 4 shared nodes."""
+    db = Database(sum_node_schema(), pool_capacity=128)
     shared = [db.create("node", weight=w) for w in (1, 2, 3, 4)]
     db.connect(shared[0], "outputs", shared[1], "inputs")
     db.connect(shared[1], "outputs", shared[2], "inputs")
@@ -100,12 +90,11 @@ def run_live(db, workload):
     return mux, outcomes, {h.name: h.results for h in handles}
 
 
-@pytest.mark.parametrize("no_compile", [False, True], ids=["compiled", "interp"])
 @settings(max_examples=40, deadline=None)
 @given(txns=_workload)
-def test_live_serving_equals_batch_run(no_compile, txns):
-    db_a, shared_a = build_db(no_compile)
-    db_b, shared_b = build_db(no_compile)
+def test_live_serving_equals_batch_run(txns):
+    db_a, shared_a = build_db()
+    db_b, shared_b = build_db()
     assert shared_a == shared_b
 
     workload_a = materialize(txns, shared_a)

@@ -1,8 +1,7 @@
 """End-to-end server tests over real sockets.
 
 The headline test drives 16 concurrent client connections through a full
-workload in both compiled and ``REPRO_NO_COMPILE=1`` engines and asserts
-*exact* accounting: every submitted transaction is answered exactly once,
+workload and asserts *exact* accounting: every submitted transaction is answered exactly once,
 nothing is lost or duplicated, and the server's own counters agree with
 the clients' tallies.  The rest covers the serving edges: abrupt
 disconnect mid-transaction, admission rejection, per-connection
@@ -12,7 +11,6 @@ pipelining, the connection cap, and protocol errors.
 from __future__ import annotations
 
 import asyncio
-import os
 import socket
 import threading
 import time
@@ -20,7 +18,6 @@ import time
 import pytest
 
 from repro.client import AsyncReproClient, ReproClient, ServerError, TxnBuilder
-from repro.compile import COMPILE_DISABLED_ENV
 from repro.core.database import Database
 from repro.server.mux import ServerConfig
 from repro.server.protocol import ProtocolError, encode_frame, recv_frame
@@ -28,13 +25,8 @@ from repro.server.server import ReproServer, ServerThread, _Connection
 from repro.workloads import sum_node_schema
 
 
-def build_db(no_compile: bool = False) -> Database:
-    if no_compile:
-        os.environ[COMPILE_DISABLED_ENV] = "1"
-    try:
-        return Database(sum_node_schema(), pool_capacity=256)
-    finally:
-        os.environ.pop(COMPILE_DISABLED_ENV, None)
+def build_db() -> Database:
+    return Database(sum_node_schema(), pool_capacity=256)
 
 
 def wait_until(predicate, timeout: float = 10.0, what: str = "condition"):
@@ -46,10 +38,9 @@ def wait_until(predicate, timeout: float = 10.0, what: str = "condition"):
     raise AssertionError(f"timed out waiting for {what}")
 
 
-@pytest.mark.parametrize("no_compile", [False, True], ids=["compiled", "interp"])
-def test_sixteen_concurrent_clients_exact_accounting(no_compile):
+def test_sixteen_concurrent_clients_exact_accounting():
     clients, txns_each = 16, 3
-    db = build_db(no_compile)
+    db = build_db()
     results: list = []
 
     def worker(worker_id: int) -> None:

@@ -8,15 +8,22 @@ metric, event type, and WAL payload kind it mentions must exist, and the
 
 from __future__ import annotations
 
-import pathlib
 import re
+
+from tests.doccheck import (
+    assert_cited_files_exist,
+    assert_cited_names_live,
+    assert_documents_exactly,
+    assert_namespace_documented,
+    doc_path,
+)
 
 from repro.core.database import Database
 from repro.obs.events import EVENT_TYPES
 from repro.persistence.wal import REORG_PAYLOAD_TYPES
 from repro.workloads import sum_node_schema
 
-DOC = pathlib.Path(__file__).parent.parent.parent / "docs" / "STORAGE.md"
+DOC = doc_path("STORAGE.md")
 # Backticked dotted names in the namespaces this doc talks about.
 METRIC_REF = re.compile(r"`((?:reorg|wal|scheduler|latency)\.[a-z_.]+)`")
 # `reorg_begin`/`reorg_end` in prose are WAL payload kinds, not events.
@@ -29,40 +36,34 @@ def live_metrics() -> set[str]:
 
 
 def test_every_cited_metric_is_live():
-    live = live_metrics()
-    for name in METRIC_REF.findall(DOC.read_text()):
-        # Timer families are cited by prefix (`latency.reorg_step` stands
-        # for its .count/.mean/... children).
-        resolves = name in live or any(m.startswith(name + ".") for m in live)
-        assert resolves, f"STORAGE.md cites unknown metric {name!r}"
+    assert_cited_names_live(
+        METRIC_REF.findall(DOC.read_text()), live_metrics(), DOC.name
+    )
 
 
 def test_reorg_namespace_fully_documented():
-    text = DOC.read_text()
-    reorg_metrics = {m for m in live_metrics() if m.startswith("reorg.")}
-    cited = set(METRIC_REF.findall(text))
-    assert reorg_metrics <= cited, (
-        f"reorg metrics missing from STORAGE.md: {sorted(reorg_metrics - cited)}"
+    assert_namespace_documented(
+        "reorg.", METRIC_REF.findall(DOC.read_text()), live_metrics(), DOC.name
     )
 
 
 def test_every_cited_event_type_is_live():
-    cited = set(EVENT_REF.findall(DOC.read_text()))
-    live_reorg_events = {t for t in EVENT_TYPES if t.startswith("reorg")}
-    assert cited == live_reorg_events, (
-        f"STORAGE.md events {sorted(cited)} != live {sorted(live_reorg_events)}"
+    assert_documents_exactly(
+        set(EVENT_REF.findall(DOC.read_text())),
+        {t for t in EVENT_TYPES if t.startswith("reorg")},
+        DOC.name,
+        "the reorg event types",
     )
 
 
 def test_wal_payload_kinds_match_registry():
-    kinds = set(PAYLOAD_KIND.findall(DOC.read_text()))
-    assert kinds == set(REORG_PAYLOAD_TYPES), (
-        f"STORAGE.md WAL examples {sorted(kinds)} != "
-        f"registry {sorted(REORG_PAYLOAD_TYPES)}"
+    assert_documents_exactly(
+        set(PAYLOAD_KIND.findall(DOC.read_text())),
+        REORG_PAYLOAD_TYPES,
+        DOC.name,
+        "REORG_PAYLOAD_TYPES",
     )
 
 
 def test_cited_test_and_bench_files_exist():
-    root = DOC.parent.parent
-    for rel in re.findall(r"`((?:tests|benchmarks)/[\w/]+\.py)`", DOC.read_text()):
-        assert (root / rel).exists(), f"STORAGE.md cites missing file {rel}"
+    assert_cited_files_exist(DOC.name)
