@@ -55,6 +55,8 @@ from typing import Any
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model import RuleInfo, SchemaModel
 from repro.dsl import ast
+from repro.dsl.compiler import DEFAULT_CONSTANTS
+from repro.dsl.resolve import Attr, Const, Recv, Var
 
 #: fixpoint round cap; slots still changing afterwards are pinned to TOP.
 MAX_ROUNDS = 12
@@ -111,7 +113,7 @@ def atom_top(atom: str) -> Interval:
 
 
 def atom_zero(atom: str) -> Interval:
-    """Abstract value of an atom's zero default (what ``_zero_of`` yields)."""
+    """Abstract value of an atom's zero default (what a fresh block variable holds)."""
     if atom == "boolean":
         return FALSE
     if atom in ("integer", "real", "time"):
@@ -287,7 +289,6 @@ class _BodyEvaluator:
         self.rule = rule
         self.reader = reader
         self.findings = findings
-        self.ports = model.all_ports(rule.class_name)
 
     def run(self) -> Interval:
         body = self.rule.body
@@ -295,7 +296,7 @@ class _BodyEvaluator:
             return TOP  # native Python body: no AST to interpret
         if isinstance(body, ast.Block):
             state = _State()
-            self._stmts(body.body, state, {})
+            self._stmts(body.body, state)
             if not state.terminated and self.findings is not None:
                 self.findings.append(
                     (
@@ -307,11 +308,11 @@ class _BodyEvaluator:
                     )
                 )
             return state.returned if state.returned is not None else TOP
-        return self._expr(body, _State(), {})
+        return self._expr(body, _State())
 
     # -- statements ---------------------------------------------------------
 
-    def _stmts(self, stmts, state: _State, loops: dict[str, str]) -> None:
+    def _stmts(self, stmts, state: _State) -> None:
         for stmt in stmts:
             if state.terminated:
                 return  # unreachable after a definite return
@@ -319,31 +320,31 @@ class _BodyEvaluator:
                 state.declared[stmt.name] = stmt.type_name
                 state.locals[stmt.name] = atom_zero(stmt.type_name)
             elif isinstance(stmt, ast.Assign):
-                state.locals[stmt.name] = self._expr(stmt.value, state, loops)
+                state.locals[stmt.name] = self._expr(stmt.value, state)
                 state.assigned.add(stmt.name)
             elif isinstance(stmt, ast.If):
-                self._if(stmt, state, loops)
+                self._if(stmt, state)
             elif isinstance(stmt, ast.ForEach):
-                self._for_each(stmt, state, loops)
+                self._for_each(stmt, state)
             elif isinstance(stmt, ast.Return):
-                value = self._expr(stmt.value, state, loops)
+                value = self._expr(stmt.value, state)
                 state.returned = _merge_returned(state.returned, value)
                 state.terminated = True
             elif isinstance(stmt, ast.ExprStmt):
-                self._expr(stmt.value, state, loops)
+                self._expr(stmt.value, state)
 
-    def _if(self, stmt: ast.If, state: _State, loops: dict[str, str]) -> None:
-        cond = self._expr(stmt.cond, state, loops)
+    def _if(self, stmt: ast.If, state: _State) -> None:
+        cond = self._expr(stmt.cond, state)
         if is_true(cond):
-            self._stmts(stmt.then_body, state, loops)
+            self._stmts(stmt.then_body, state)
             return
         if is_false(cond):
-            self._stmts(stmt.else_body, state, loops)
+            self._stmts(stmt.else_body, state)
             return
         then_state = state.copy()
         else_state = state.copy()
-        self._stmts(stmt.then_body, then_state, loops)
-        self._stmts(stmt.else_body, else_state, loops)
+        self._stmts(stmt.then_body, then_state)
+        self._stmts(stmt.else_body, else_state)
         state.returned = _merge_returned(
             then_state.returned, else_state.returned
         )
@@ -371,18 +372,14 @@ class _BodyEvaluator:
         }
         state.assigned = set.intersection(*(s.assigned for s in live))
 
-    def _for_each(
-        self, stmt: ast.ForEach, state: _State, loops: dict[str, str]
-    ) -> None:
-        inner = dict(loops)
-        inner[stmt.var] = stmt.port
+    def _for_each(self, stmt: ast.ForEach, state: _State) -> None:
         # Any local assigned anywhere in the loop body may carry a value
         # from an arbitrary earlier iteration: smash those to TOP before
         # the single abstract pass (sound, if blunt, widening).
         for name in _assigned_names(stmt.body):
             state.locals[name] = TOP
         body_state = state.copy()
-        self._stmts(stmt.body, body_state, inner)
+        self._stmts(stmt.body, body_state)
         # Zero iterations are always possible: merge, keep only the locals
         # facts common to both outcomes; returns inside the loop are
         # possible but never definite.
@@ -393,33 +390,31 @@ class _BodyEvaluator:
 
     # -- expressions --------------------------------------------------------
 
-    def _expr(
-        self, expr: ast.Expr, state: _State, loops: dict[str, str]
-    ) -> Interval:
+    def _expr(self, expr: ast.Expr, state: _State) -> Interval:
         if isinstance(expr, ast.Literal):
             return const(expr.value)
-        if isinstance(expr, ast.Name):
-            return self._name(expr, state, loops)
-        if isinstance(expr, ast.FieldRef):
-            return self._field_ref(expr, loops)
         if isinstance(expr, ast.Call):
-            return self._call(expr, state, loops)
+            return self._call(expr, state)
         if isinstance(expr, ast.Unary):
-            operand = self._expr(expr.operand, state, loops)
+            operand = self._expr(expr.operand, state)
             if expr.op == "not":
                 return logical_not(operand)
             if expr.op == "-":
                 return neg(operand)
             return TOP  # pragma: no cover - exhaustive over unary ops
         if isinstance(expr, ast.Binary):
-            return self._binary(expr, state, loops)
-        return TOP  # pragma: no cover - exhaustive over Expr
+            return self._binary(expr, state)
+        return self._ref(self.rule.resolution.refs.get(id(expr)), expr, state)
 
-    def _name(
-        self, expr: ast.Name, state: _State, loops: dict[str, str]
-    ) -> Interval:
-        ident = expr.ident
-        if ident in state.declared or ident in state.assigned:
+    def _ref(self, ref: Any, expr: ast.Expr, state: _State) -> Interval:
+        """The value of what a name or field reference is bound to."""
+        if isinstance(ref, Var):
+            ident = ref.name
+            if ident not in state.declared and ident not in state.assigned:
+                # No assignment on this path: the read falls through.
+                return self._ref(
+                    self.rule.resolution.variables[ident], expr, state
+                )
             if (
                 ident not in state.assigned
                 and self.findings is not None
@@ -434,33 +429,18 @@ class _BodyEvaluator:
                     )
                 )
             return state.locals.get(ident, TOP)
-        if ident in loops:
-            return TOP  # bare loop variable: CA305 territory
-        if ident in self.model.all_attrs(self.rule.class_name):
-            return self.reader(("local", ident))
-        return self._constant(ident)
+        if isinstance(ref, Attr):
+            return self.reader(("local", ref.name))
+        if isinstance(ref, Recv):
+            return self.reader(("received", ref.port, ref.value))
+        if isinstance(ref, Const):
+            value = DEFAULT_CONSTANTS.get(ref.name)
+            if isinstance(value, (bool, int, float)):
+                return const(value)
+        return TOP  # opaque constant, or unresolved (already reported)
 
-    def _constant(self, ident: str) -> Interval:
-        try:
-            from repro.dsl.compiler import DEFAULT_CONSTANTS
-        except ImportError:  # pragma: no cover - circular-import guard
-            return TOP
-        value = DEFAULT_CONSTANTS.get(ident)
-        if isinstance(value, (bool, int, float)):
-            return const(value)
-        return TOP
-
-    def _field_ref(self, expr: ast.FieldRef, loops: dict[str, str]) -> Interval:
-        base = expr.base
-        port = loops.get(base, base)
-        if port not in self.ports:
-            return TOP  # CA103 territory; resolution already failed
-        return self.reader(("received", port, expr.field_name))
-
-    def _call(
-        self, expr: ast.Call, state: _State, loops: dict[str, str]
-    ) -> Interval:
-        args = [self._expr(arg, state, loops) for arg in expr.args]
+    def _call(self, expr: ast.Call, state: _State) -> Interval:
+        args = [self._expr(arg, state) for arg in expr.args]
         fn = expr.fn
         if fn in ("max", "later_of") and args:
             lo = max(a.lo for a in args)
@@ -483,12 +463,10 @@ class _BodyEvaluator:
             return NON_NEGATIVE
         return TOP  # sum, void, and externally-registered functions
 
-    def _binary(
-        self, expr: ast.Binary, state: _State, loops: dict[str, str]
-    ) -> Interval:
+    def _binary(self, expr: ast.Binary, state: _State) -> Interval:
         op = expr.op
-        left = self._expr(expr.left, state, loops)
-        right = self._expr(expr.right, state, loops)
+        left = self._expr(expr.left, state)
+        right = self._expr(expr.right, state)
         if op == "and":
             return logical_and(left, right)
         if op == "or":
@@ -507,34 +485,19 @@ class _BodyEvaluator:
 
 
 def _assigned_names(stmts) -> set[str]:
-    out: set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, ast.Assign):
-            out.add(stmt.name)
-        elif isinstance(stmt, ast.If):
-            out |= _assigned_names(stmt.then_body)
-            out |= _assigned_names(stmt.else_body)
-        elif isinstance(stmt, ast.ForEach):
-            out |= _assigned_names(stmt.body)
-    return out
+    return {
+        node.name
+        for stmt in stmts
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Assign)
+    }
 
 
 def _for_each_loops(body) -> list[ast.ForEach]:
     """Every ForEach statement anywhere in a rule body."""
-    loops: list[ast.ForEach] = []
-
-    def walk(stmts) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.ForEach):
-                loops.append(stmt)
-                walk(stmt.body)
-            elif isinstance(stmt, ast.If):
-                walk(stmt.then_body)
-                walk(stmt.else_body)
-
-    if isinstance(body, ast.Block):
-        walk(body.body)
-    return loops
+    if body is None:
+        return []
+    return [node for node in ast.walk(body) if isinstance(node, ast.ForEach)]
 
 
 # ---------------------------------------------------------------------------

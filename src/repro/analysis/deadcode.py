@@ -24,7 +24,7 @@ at worst a typo, which is worth a warning:
 from __future__ import annotations
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.model import SchemaModel
+from repro.analysis.model import SchemaModel, dep_spans
 
 def check(model: SchemaModel) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
@@ -170,33 +170,13 @@ def _unused_inputs(model: SchemaModel) -> list[Diagnostic]:
     match by construction; hand-built rules that *declare* more than they
     read subscribe to spurious change propagation.
     """
-    from repro.analysis.model import _DepWalker
-
     diagnostics: list[Diagnostic] = []
     for cls_name, cls in model.classes.items():
-        attrs = model.all_attrs(cls_name)
-        ports = model.all_ports(cls_name)
         for rule in cls.rules:
-            if rule.declared_deps is None or rule.body is None or not rule.ok:
+            if rule.declared_deps is None or rule.resolution is None:
                 continue
-            scratch = SchemaModel(
-                relationships=model.relationships,
-                classes=model.classes,
-                functions=model.functions,
-                constants=model.constants,
-                atoms=model.atoms,
-            )
-            walker = _DepWalker(scratch, cls_name, attrs, ports)
-            from repro.dsl import ast
-
-            if isinstance(rule.body, ast.Block):
-                walker.block(rule.body)
-            else:
-                walker.expr(rule.body, set(), {})
-            walker.add_loop_counts()
-            if not walker.ok:
-                continue
-            for dep in sorted(rule.declared_deps - walker.deps):
+            read = dep_spans(rule.resolution)
+            for dep in sorted(rule.declared_deps - read.keys()):
                 if dep[0] == "local":
                     what = f"Local({dep[1]!r})"
                 else:

@@ -41,13 +41,11 @@ from repro.analysis.dataflow import (
     truthiness,
 )
 from repro.analysis.model import RuleInfo, SchemaModel, model_from_schema
+from repro.core.rules import NATIVE_OPS
 from repro.dsl import ast
 
 #: assumed For-Each fan-out per nesting level for op counting.
 FANOUT_BOUND = 4
-
-#: op count charged to a native (opaque Python) rule body.
-NATIVE_OPS = 8
 
 
 @dataclass(frozen=True)
@@ -137,55 +135,23 @@ class AnalysisFacts:
 
 
 def _body_ops(body, depth: int = 0) -> tuple[int, int]:
-    """(op count, max loop depth) of one rule body AST."""
+    """(op count, max loop depth) of one rule body AST.
+
+    Every node below the block costs one op; a For-Each multiplies its
+    subtree by :data:`FANOUT_BOUND`.
+    """
     if body is None:
         return NATIVE_OPS, 0
-    if isinstance(body, ast.Block):
-        ops, deepest = 0, depth
-        for stmt in body.body:
-            inner_ops, inner_depth = _stmt_ops(stmt, depth)
-            ops += inner_ops
-            deepest = max(deepest, inner_depth)
-        return ops, deepest
-    return _expr_ops(body), depth
-
-
-def _stmt_ops(stmt, depth: int) -> tuple[int, int]:
-    if isinstance(stmt, ast.VarDecl):
-        return 1, depth
-    if isinstance(stmt, ast.Assign):
-        return 1 + _expr_ops(stmt.value), depth
-    if isinstance(stmt, ast.Return) or isinstance(stmt, ast.ExprStmt):
-        return 1 + _expr_ops(stmt.value), depth
-    if isinstance(stmt, ast.If):
-        ops = 1 + _expr_ops(stmt.cond)
-        deepest = depth
-        for body in (stmt.then_body, stmt.else_body):
-            for inner in body:
-                inner_ops, inner_depth = _stmt_ops(inner, depth)
-                ops += inner_ops
-                deepest = max(deepest, inner_depth)
-        return ops, deepest
-    if isinstance(stmt, ast.ForEach):
-        ops, deepest = 1, depth + 1
-        for inner in stmt.body:
-            inner_ops, inner_depth = _stmt_ops(inner, depth + 1)
-            ops += inner_ops
-            deepest = max(deepest, inner_depth)
-        return ops * FANOUT_BOUND, deepest
-    return 1, depth
-
-
-def _expr_ops(expr) -> int:
-    if isinstance(expr, (ast.Literal, ast.Name, ast.FieldRef)):
-        return 1
-    if isinstance(expr, ast.Call):
-        return 1 + sum(_expr_ops(a) for a in expr.args)
-    if isinstance(expr, ast.Unary):
-        return 1 + _expr_ops(expr.operand)
-    if isinstance(expr, ast.Binary):
-        return 1 + _expr_ops(expr.left) + _expr_ops(expr.right)
-    return 1
+    loop = isinstance(body, ast.ForEach)
+    if loop:
+        depth += 1
+    ops = 0 if isinstance(body, ast.Block) else 1
+    deepest = depth
+    for child in ast.children(body):
+        child_ops, child_depth = _body_ops(child, depth)
+        ops += child_ops
+        deepest = max(deepest, child_depth)
+    return (ops * FANOUT_BOUND if loop else ops), deepest
 
 
 def _verdict(

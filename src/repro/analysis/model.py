@@ -34,6 +34,7 @@ from repro.core.rules import (
 from repro.core.schema import Schema
 from repro.dsl import ast
 from repro.dsl.compiler import DEFAULT_CONSTANTS, DEFAULT_FUNCTIONS
+from repro.dsl.resolve import Port, Resolution, Scope, body_of, resolve
 from repro.analysis.diagnostics import Diagnostic
 
 Dep = tuple  # ("local", attr) | ("received", port, value)
@@ -101,6 +102,8 @@ class RuleInfo:
     #: first source span seen for each dependency (for cycle messages).
     dep_spans: dict[Dep, tuple[int, int]] = field(default_factory=dict)
     body: ast.RuleBody | None = None
+    #: what every name in ``body`` is bound to (None without a body).
+    resolution: Resolution | None = None
     #: declared inputs (Schema path only) for the unused-input check.
     declared_deps: set[Dep] | None = None
     line: int = 0
@@ -194,6 +197,62 @@ class SchemaModel:
         line = getattr(node, "line", 0) or 0
         column = getattr(node, "column", 0) or 0
         self.diagnostics.append(Diagnostic(code, message, line, column))
+
+    def scope_of(self, name: str) -> Scope:
+        """What rule bodies of class ``name`` can see, for the resolver."""
+        ports = {}
+        for port in self.all_ports(name).values():
+            rel = self.relationships.get(port.rel_type)
+            received = None if rel is None else tuple(
+                f.value for f in rel.received_by(port.end)
+            )
+            ports[port.name] = Port(port.multi, port.rel_type, received)
+        return Scope(
+            name,
+            self.all_attrs(name),
+            ports,
+            self.constants,
+            self.functions,
+            self.atoms,
+        )
+
+    def resolved(self, scope: Scope, body: ast.RuleBody, **info: Any) -> RuleInfo:
+        """A :class:`RuleInfo` for ``body`` resolved in ``scope``.
+
+        Resolution problems become diagnostics and clear ``ok`` so later
+        passes skip the rule -- except a bare loop variable (CA305), which
+        leaves the rest of the body checkable, and CA107, which the port's
+        declaration has already reported.
+        """
+        ok = True
+
+        def sink(code: str, message: str, node: Any) -> None:
+            nonlocal ok
+            ok = ok and code == "CA305"
+            if code != "CA107":
+                self.report(code, message, node)
+
+        resolution = resolve(body, scope, sink)
+        spans = dep_spans(resolution)
+        return RuleInfo(
+            class_name=scope.class_name,
+            deps=set(spans),
+            dep_spans=spans,
+            body=body,
+            resolution=resolution,
+            ok=ok,
+            **info,
+        )
+
+
+def dep_spans(resolution: Resolution) -> dict[Dep, tuple[int, int]]:
+    """A resolution's dependencies in the analyzer's tuple encoding."""
+    spans: dict[Dep, tuple[int, int]] = {
+        ("local", attr): span for attr, span in resolution.locals.items()
+    }
+    for (port, value), span in resolution.received.items():
+        spans[("received", port, value)] = span
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +421,9 @@ def _collect_class_rules(model: SchemaModel, cls: ast.ClassDecl) -> None:
     if info is None or info.line != cls.line:
         return
     seen_targets: set[str] = set()
-    attrs = model.all_attrs(cls.name)
-    ports = model.all_ports(cls.name)
+    scope = model.scope_of(cls.name)
     for rule in cls.rules:
-        rule_info = _build_rule(model, cls.name, attrs, ports, rule)
+        rule_info = _build_rule(model, scope, rule)
         if rule_info.target in seen_targets:
             model.report(
                 "CA116",
@@ -386,20 +444,15 @@ def _collect_class_rules(model: SchemaModel, cls: ast.ClassDecl) -> None:
             )
             continue
         seen_constraints.add(constraint.name)
-        walker = _DepWalker(model, cls.name, attrs, ports)
-        walker.expr(constraint.predicate, set(), {})
         info.rules.append(
-            RuleInfo(
+            model.resolved(
+                scope,
+                constraint.predicate,
                 target=constraint_attr_name(constraint.name),
-                class_name=cls.name,
                 kind="constraint",
                 display=f"constraint {constraint.name}",
-                deps=walker.deps,
-                dep_spans=walker.spans,
-                body=constraint.predicate,
                 line=constraint.line,
                 column=constraint.column,
-                ok=walker.ok,
             )
         )
         if constraint.recover is not None and (
@@ -412,266 +465,73 @@ def _collect_class_rules(model: SchemaModel, cls: ast.ClassDecl) -> None:
                 constraint,
             )
     if cls.where is not None:
-        walker = _DepWalker(model, cls.name, attrs, ports)
-        walker.expr(cls.where, set(), {})
         info.rules.append(
-            RuleInfo(
+            model.resolved(
+                scope,
+                cls.where,
                 target=subtype_attr_name(cls.name),
-                class_name=cls.name,
                 kind="predicate",
                 display=f"subtype predicate of {cls.name}",
-                deps=walker.deps,
-                dep_spans=walker.spans,
-                body=cls.where,
                 line=cls.line,
                 column=cls.column,
-                ok=walker.ok,
             )
         )
 
 
-def _build_rule(
-    model: SchemaModel,
-    class_name: str,
-    attrs: dict[str, AttrInfo],
-    ports: dict[str, PortInfo],
-    rule: ast.RuleDecl,
-) -> RuleInfo:
-    walker = _DepWalker(model, class_name, attrs, ports)
-    if isinstance(rule.body, ast.Block):
-        walker.block(rule.body)
-    else:
-        walker.expr(rule.body, set(), {})
-    walker.add_loop_counts()
+def _build_rule(model: SchemaModel, scope: Scope, rule: ast.RuleDecl) -> RuleInfo:
+    class_name = scope.class_name
     if rule.target_attr is not None:
         target = rule.target_attr
-        display = f"{class_name}.{rule.target_attr}"
-        attr = attrs.get(rule.target_attr)
-        if attr is None:
+    else:
+        target = f"{rule.target_port}>{rule.target_value}"
+    info = model.resolved(
+        scope,
+        rule.body,
+        target=target,
+        display=f"{class_name}.{target}",
+        line=rule.line,
+        column=rule.column,
+    )
+    if rule.target_attr is not None:
+        if rule.target_attr not in scope.attrs:
             model.report(
                 "CA111",
                 f"class {class_name!r}: rule targets unknown attribute "
                 f"{rule.target_attr!r}",
                 rule,
             )
-            walker.ok = False
-    else:
-        target = f"{rule.target_port}>{rule.target_value}"
-        display = f"{class_name}.{rule.target_port}>{rule.target_value}"
-        port = ports.get(rule.target_port)
-        if port is None:
-            model.report(
-                "CA111",
-                f"class {class_name!r}: rule transmits on unknown port "
-                f"{rule.target_port!r}",
-                rule,
-            )
-            walker.ok = False
-        else:
-            rel = model.relationships.get(port.rel_type)
-            flow = rel.flows.get(rule.target_value) if rel else None
-            if rel is not None and flow is None:
-                model.report(
-                    "CA111",
-                    f"class {class_name!r}: port {rule.target_port!r} "
-                    f"carries no value named {rule.target_value!r}",
-                    rule,
-                )
-                walker.ok = False
-            elif flow is not None and flow.sent_by != port.end:
-                model.report(
-                    "CA112",
-                    f"class {class_name!r}: rule transmits "
-                    f"{rule.target_value!r} on port {rule.target_port!r}, "
-                    f"but that value flows {flow.sent_by}-to-"
-                    f"{'socket' if flow.sent_by == 'plug' else 'plug'}",
-                    rule,
-                )
-    return RuleInfo(
-        target=target,
-        class_name=class_name,
-        display=display,
-        deps=walker.deps,
-        dep_spans=walker.spans,
-        body=rule.body,
-        line=rule.line,
-        column=rule.column,
-        ok=walker.ok,
-    )
-
-
-class _DepWalker:
-    """Dependency collection over rule bodies, mirroring the compiler's
-    ``_DependencyAnalysis`` but emitting diagnostics instead of raising."""
-
-    def __init__(
-        self,
-        model: SchemaModel,
-        class_name: str,
-        attrs: dict[str, AttrInfo],
-        ports: dict[str, PortInfo],
-    ) -> None:
-        self.model = model
-        self.class_name = class_name
-        self.attrs = attrs
-        self.ports = ports
-        self.deps: set[Dep] = set()
-        self.spans: dict[Dep, tuple[int, int]] = {}
-        self.loop_ports: dict[str, tuple[int, int]] = {}
-        self.ok = True
-
-    def _dep(self, dep: Dep, node: Any) -> None:
-        self.deps.add(dep)
-        self.spans.setdefault(dep, (node.line, node.column))
-
-    def _report(self, code: str, message: str, node: Any) -> None:
-        self.model.report(code, f"class {self.class_name!r}: {message}", node)
-        self.ok = False
-
-    def block(self, block: ast.Block) -> None:
-        self.stmts(block.body, set(), {})
-
-    def stmts(self, stmts, local_vars: set[str], loops: dict[str, str]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.VarDecl):
-                if stmt.type_name not in self.model.atoms:
-                    self._report(
-                        "CA113",
-                        f"local variable {stmt.name!r} has unknown atom "
-                        f"type {stmt.type_name!r}",
-                        stmt,
-                    )
-                local_vars.add(stmt.name)
-            elif isinstance(stmt, ast.Assign):
-                self.expr(stmt.value, local_vars, loops)
-                local_vars.add(stmt.name)
-            elif isinstance(stmt, ast.ForEach):
-                port = self.ports.get(stmt.port)
-                if port is None:
-                    self._report(
-                        "CA103",
-                        f"For Each over unknown port {stmt.port!r}",
-                        stmt,
-                    )
-                    continue
-                if not port.multi:
-                    self._report(
-                        "CA105",
-                        f"For Each requires a Multi port; {stmt.port!r} is "
-                        f"single-valued",
-                        stmt,
-                    )
-                    continue
-                self.loop_ports.setdefault(stmt.port, (stmt.line, stmt.column))
-                inner = dict(loops)
-                inner[stmt.var] = stmt.port
-                self.stmts(stmt.body, set(local_vars), inner)
-            elif isinstance(stmt, ast.If):
-                self.expr(stmt.cond, local_vars, loops)
-                self.stmts(stmt.then_body, set(local_vars), loops)
-                self.stmts(stmt.else_body, set(local_vars), loops)
-            elif isinstance(stmt, (ast.Return, ast.ExprStmt)):
-                self.expr(stmt.value, local_vars, loops)
-
-    def expr(
-        self, expr: ast.Expr, local_vars: set[str], loops: dict[str, str]
-    ) -> None:
-        if isinstance(expr, ast.Literal):
-            return
-        if isinstance(expr, ast.Name):
-            ident = expr.ident
-            if ident in local_vars or ident in loops:
-                return
-            if ident in self.attrs:
-                self._dep(("local", ident), expr)
-                return
-            if ident in self.model.constants:
-                return
-            self._report("CA101", f"unknown name {ident!r}", expr)
-            return
-        if isinstance(expr, ast.FieldRef):
-            base = expr.base
-            if base in loops:
-                port_name = loops[base]
-            elif base in self.ports:
-                if self.ports[base].multi:
-                    self._report(
-                        "CA106",
-                        f"port {base!r} is Multi; use "
-                        f"'For Each x Related To {base}'",
-                        expr,
-                    )
-                    return
-                port_name = base
-            else:
-                self._report(
-                    "CA103",
-                    f"{base!r} is neither a loop variable nor a port",
-                    expr,
-                )
-                return
-            port = self.ports[port_name]
-            rel = self.model.relationships.get(port.rel_type)
-            if rel is None:
-                # CA107 already reported at the port declaration.
-                self.ok = False
-                return
-            received = {f.value for f in rel.received_by(port.end)}
-            if expr.field_name not in received:
-                self._report(
-                    "CA104",
-                    f"port {port_name!r} does not receive a value named "
-                    f"{expr.field_name!r}",
-                    expr,
-                )
-                return
-            self._dep(("received", port_name, expr.field_name), expr)
-            return
-        if isinstance(expr, ast.Call):
-            if expr.fn not in self.model.functions:
-                self._report("CA102", f"unknown function {expr.fn!r}", expr)
-            for arg in expr.args:
-                self.expr(arg, local_vars, loops)
-            return
-        if isinstance(expr, ast.Unary):
-            self.expr(expr.operand, local_vars, loops)
-            return
-        if isinstance(expr, ast.Binary):
-            self.expr(expr.left, local_vars, loops)
-            self.expr(expr.right, local_vars, loops)
-            return
-
-    def add_loop_counts(self) -> None:
-        """Loops that read no transmitted value depend on the first flow the
-        port can receive (the compiler's implicit iteration count)."""
-        for port_name, (line, column) in self.loop_ports.items():
-            if any(
-                d[0] == "received" and d[1] == port_name for d in self.deps
-            ):
-                continue
-            port = self.ports.get(port_name)
-            rel = self.model.relationships.get(port.rel_type) if port else None
-            flows = rel.received_by(port.end) if rel else []
-            if not flows:
-                self.model.report(
-                    "CA115",
-                    f"class {self.class_name!r}: cannot determine the "
-                    f"iteration count of 'For Each ... Related To "
-                    f"{port_name}': no value flows toward this end",
-                    _Span(line, column),
-                )
-                self.ok = False
-                continue
-            self.deps.add(("received", port_name, flows[0].value))
-            self.spans.setdefault(
-                ("received", port_name, flows[0].value), (line, column)
-            )
-
-
-@dataclass(frozen=True)
-class _Span:
-    line: int
-    column: int
+            info.ok = False
+        return info
+    port = model.all_ports(class_name).get(rule.target_port)
+    if port is None:
+        model.report(
+            "CA111",
+            f"class {class_name!r}: rule transmits on unknown port "
+            f"{rule.target_port!r}",
+            rule,
+        )
+        info.ok = False
+        return info
+    rel = model.relationships.get(port.rel_type)
+    flow = rel.flows.get(rule.target_value) if rel else None
+    if rel is not None and flow is None:
+        model.report(
+            "CA111",
+            f"class {class_name!r}: port {rule.target_port!r} "
+            f"carries no value named {rule.target_value!r}",
+            rule,
+        )
+        info.ok = False
+    elif flow is not None and flow.sent_by != port.end:
+        model.report(
+            "CA112",
+            f"class {class_name!r}: rule transmits "
+            f"{rule.target_value!r} on port {rule.target_port!r}, "
+            f"but that value flows {flow.sent_by}-to-"
+            f"{'socket' if flow.sent_by == 'plug' else 'plug'}",
+            rule,
+        )
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +547,19 @@ def model_from_schema(schema: Schema) -> SchemaModel:
     and predicate checks can run on them.  Spans are unavailable (0, 0).
     """
     from repro.core.schema import End
-    from repro.dsl.printer import _ast_of, _unwrap_booleanized
 
     model = SchemaModel()
     model.atoms = set(schema.atoms.names())
     model.functions = set(DEFAULT_FUNCTIONS)
     model.constants = set(DEFAULT_CONSTANTS)
+
+    def dsl(fn: Any) -> dict[str, Any]:
+        """The body and resolution a DSL-compiled callable carries."""
+        interp = body_of(fn)
+        if interp is None:
+            return {}
+        model.functions.update(interp.functions)
+        return {"body": interp.body, "resolution": interp.resolution}
 
     for rel in schema.relationship_types.values():
         info = RelInfo(rel.name)
@@ -722,20 +589,14 @@ def model_from_schema(schema: Schema) -> SchemaModel:
             else:
                 target = f"{rule.target.port}>{rule.target.value}"
             deps = _declared_deps(rule.inputs)
-            body = _ast_of(rule.body)
-            interp_functions = getattr(
-                getattr(rule.body, "compiler", None), "functions", None
-            )
-            if interp_functions:
-                model.functions.update(interp_functions)
             info.rules.append(
                 RuleInfo(
                     target=target,
                     class_name=cls.name,
                     display=rule.name or f"{cls.name}.{target}",
                     deps=deps,
-                    body=body,
                     declared_deps=set(deps),
+                    **dsl(rule.body),
                 )
             )
         for constraint in cls.constraints:
@@ -747,25 +608,24 @@ def model_from_schema(schema: Schema) -> SchemaModel:
                     kind="constraint",
                     display=f"constraint {constraint.name}",
                     deps=deps,
-                    body=_unwrap_booleanized(constraint.predicate),
                     declared_deps=set(deps),
+                    **dsl(constraint.predicate),
                 )
             )
         if cls.predicate is not None:
             deps = _declared_deps(cls.predicate.inputs)
-            where = _unwrap_booleanized(cls.predicate.predicate)
-            info.where = where if not isinstance(where, ast.Block) else None
-            info.rules.append(
-                RuleInfo(
-                    target=subtype_attr_name(cls.name),
-                    class_name=cls.name,
-                    kind="predicate",
-                    display=f"subtype predicate of {cls.name}",
-                    deps=deps,
-                    body=where,
-                    declared_deps=set(deps),
-                )
+            predicate = RuleInfo(
+                target=subtype_attr_name(cls.name),
+                class_name=cls.name,
+                kind="predicate",
+                display=f"subtype predicate of {cls.name}",
+                deps=deps,
+                declared_deps=set(deps),
+                **dsl(cls.predicate.predicate),
             )
+            if not isinstance(predicate.body, ast.Block):
+                info.where = predicate.body
+            info.rules.append(predicate)
         model.classes[cls.name] = info
     return model
 

@@ -23,6 +23,7 @@ from typing import Any
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model import RuleInfo, SchemaModel
 from repro.dsl import ast
+from repro.dsl.resolve import Attr, Const, Recv, Resolution, Var
 
 NUMERIC = {"integer", "real", "time"}
 
@@ -47,11 +48,12 @@ def check(model: SchemaModel) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     for cls_name, cls in model.classes.items():
         attrs = model.all_attrs(cls_name)
-        ports = model.all_ports(cls_name)
         for rule in cls.rules:
             if rule.body is None or not rule.ok:
                 continue
-            checker = _RuleChecker(model, cls_name, attrs, ports, diagnostics)
+            checker = _RuleChecker(
+                model, cls_name, attrs, rule.resolution, diagnostics
+            )
             checker.check_rule(rule)
     return diagnostics
 
@@ -91,10 +93,10 @@ class _RuleChecker:
     model: SchemaModel
     class_name: str
     attrs: dict
-    ports: dict
+    resolution: Resolution
     diagnostics: list[Diagnostic]
+    #: block variable -> type of what was last declared or assigned to it
     locals: dict[str, str] = field(default_factory=dict)
-    loops: dict[str, str] = field(default_factory=dict)
 
     def report(self, code: str, message: str, node: Any) -> None:
         self.diagnostics.append(
@@ -157,11 +159,7 @@ class _RuleChecker:
     def _block(self, stmts, rule: RuleInfo, target_t: str) -> None:
         for stmt in stmts:
             if isinstance(stmt, ast.VarDecl):
-                self.locals[stmt.name] = (
-                    stmt.type_name
-                    if stmt.type_name in self.model.atoms
-                    else "unknown"
-                )
+                self.locals[stmt.name] = stmt.type_name
             elif isinstance(stmt, ast.Assign):
                 value_t = self.expr(stmt.value)
                 declared = self.locals.get(stmt.name)
@@ -175,13 +173,7 @@ class _RuleChecker:
                         stmt,
                     )
             elif isinstance(stmt, ast.ForEach):
-                saved = self.loops.get(stmt.var)
-                self.loops[stmt.var] = stmt.port
                 self._block(stmt.body, rule, target_t)
-                if saved is None:
-                    self.loops.pop(stmt.var, None)
-                else:
-                    self.loops[stmt.var] = saved
             elif isinstance(stmt, ast.If):
                 cond_t = self.expr(stmt.cond)
                 if cond_t not in ("boolean", "unknown", "any"):
@@ -212,28 +204,6 @@ class _RuleChecker:
             if isinstance(value, str):
                 return "string"
             return "unknown"
-        if isinstance(node, ast.Name):
-            ident = node.ident
-            if ident in self.locals:
-                return self.locals[ident]
-            if ident in self.loops:
-                self.report(
-                    "CA305",
-                    f"loop variable {ident!r} used bare; reference a "
-                    f"transmitted value ({ident}.<value>)",
-                    node,
-                )
-                return "unknown"
-            attr = self.attrs.get(ident)
-            if attr is not None:
-                return attr.atom if attr.atom in self.model.atoms else "unknown"
-            return _CONSTANT_TYPES.get(ident, "unknown")
-        if isinstance(node, ast.FieldRef):
-            port_name = self.loops.get(node.base, node.base)
-            flow = self.model.flow_of(self.class_name, port_name, node.field_name)
-            if flow is None:
-                return "unknown"
-            return flow.atom if flow.atom in self.model.atoms else "unknown"
         if isinstance(node, ast.Call):
             return self._call(node)
         if isinstance(node, ast.Unary):
@@ -258,7 +228,23 @@ class _RuleChecker:
             return operand_t if operand_t in NUMERIC else "unknown"
         if isinstance(node, ast.Binary):
             return self._binary(node)
-        return "unknown"
+        return self._ref(self.resolution.refs.get(id(node)))
+
+    def _ref(self, ref: Any) -> str:
+        """The type of what a name or field reference is bound to."""
+        if isinstance(ref, Var):
+            if ref.name in self.locals:
+                return self.locals[ref.name]
+            ref = self.resolution.variables[ref.name]
+        if isinstance(ref, Const):
+            return _CONSTANT_TYPES.get(ref.name, "unknown")
+        if isinstance(ref, Attr):
+            atom = self.attrs[ref.name].atom
+        elif isinstance(ref, Recv):
+            atom = self.model.flow_of(self.class_name, ref.port, ref.value).atom
+        else:
+            return "unknown"  # unresolved; the resolver reported it
+        return atom if atom in self.model.atoms else "unknown"
 
     def _binary(self, node: ast.Binary) -> str:
         op = node.op

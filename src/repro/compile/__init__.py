@@ -28,7 +28,7 @@ import time
 from typing import Any
 
 from repro.compile.codegen import CompiledBody, code_cache_size, compile_interpreter
-from repro.dsl.compiler import _RuleInterpreter
+from repro.dsl.resolve import body_of
 
 __all__ = [
     "CompiledBody",
@@ -38,29 +38,17 @@ __all__ = [
 ]
 
 
-def _classify(body: Any) -> tuple[_RuleInterpreter | None, bool] | None:
-    """(interpreter, bool_mode) for a compilable body; None otherwise."""
-    if isinstance(body, CompiledBody):
-        return None  # already compiled (idempotent across re-freezes)
-    if isinstance(body, _RuleInterpreter):
-        return body, False
-    wrapped = getattr(body, "__wrapped__", None)
-    if isinstance(wrapped, _RuleInterpreter):
-        # The _booleanize predicate wrapper: compile in bool mode so the
-        # closure coerces its result exactly as the wrapper did.
-        return wrapped, True
-    return None
-
-
 def _compile_attr(holder: Any, attr: str, inputs: Any, stats: dict) -> None:
     body = getattr(holder, attr)
-    classified = _classify(body)
-    if classified is None:
-        if not isinstance(body, CompiledBody):
-            stats["native_bodies"] += 1
+    if isinstance(body, CompiledBody):
+        return  # already compiled (idempotent across re-freezes)
+    interp = body_of(body)
+    if interp is None:
+        stats["native_bodies"] += 1
         return
-    interp, bool_mode = classified
-    compiled = compile_interpreter(interp, inputs, bool_mode, stats)
+    # Behind the _booleanize predicate wrapper: compile in bool mode so the
+    # closure coerces its result exactly as the wrapper did.
+    compiled = compile_interpreter(interp, inputs, interp is not body, stats)
     if compiled is None:
         return  # declined; fallback already counted
     object.__setattr__(holder, attr, compiled)

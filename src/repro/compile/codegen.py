@@ -30,10 +30,11 @@ Semantics are mirrored from the interpreter exactly:
 * a block falling off the end without ``return`` raises
   :class:`DslRuntimeError` ("... without a return statement").
 
-Bodies the generator cannot prove equivalent (a ``For Each`` variable
-shadowing an enclosing loop variable, a ``var`` declaration with an
-unregistered atom type) are *declined*: the rule keeps its interpreter and
-the compile pass counts a fallback.
+Names are not resolved here: every ``Name``, ``FieldRef`` and ``For Each``
+is emitted from the binding :mod:`repro.dsl.resolve` gave it, the same
+bindings the interpreter reads.  A body the generator cannot emit (an AST
+node or operator it does not know) is *declined*: the rule keeps its
+interpreter and the compile pass counts a fallback.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.dsl import ast
-from repro.dsl.compiler import _kw_local, _kw_received, _RuleInterpreter
+from repro.dsl.compiler import BINARY_OPS, _div, _RuleInterpreter
+from repro.dsl.resolve import Attr, Const, Recv, Var
 from repro.errors import DslRuntimeError
 
 
@@ -57,26 +59,11 @@ class _UnboundType:
 _UNBOUND = _UnboundType()
 
 
-def _div(left: Any, right: Any) -> Any:
-    """DSL division: C-style integer division when both operands are ints."""
-    if isinstance(left, int) and isinstance(right, int):
-        return left // right
-    return left / right
-
-
 def _chk(value: Any, name: str) -> Any:
     """Guard a read of a maybe-unassigned variable (interpreter parity)."""
     if value is _UNBOUND:
         raise DslRuntimeError(f"unbound name {name!r}")
     return value
-
-
-def _bare(name: str) -> Any:
-    """A loop variable used bare is a runtime error, as in the interpreter."""
-    raise DslRuntimeError(
-        f"loop variable {name!r} used bare; reference a transmitted "
-        f"value as {name}.<value>"
-    )
 
 
 def _no_return() -> DslRuntimeError:
@@ -86,7 +73,6 @@ def _no_return() -> DslRuntimeError:
 _BASE_GLOBALS = {
     "_div": _div,
     "_chk": _chk,
-    "_bare": _bare,
     "_no_return": _no_return,
     "_UNBOUND": _UNBOUND,
 }
@@ -152,8 +138,7 @@ class _Codegen:
         bool_mode: bool,
     ) -> None:
         self.interp = interp
-        self.compiler = interp.compiler
-        self.analysis = interp.analysis
+        self.refs = interp.resolution.refs
         self.bool_mode = bool_mode
         self.kwnames = tuple(inputs)
         self.param_of = {kw: f"a{i}" for i, kw in enumerate(self.kwnames)}
@@ -184,144 +169,113 @@ class _Codegen:
             return repr(value)
         return self._env_ref(value)
 
+    def _param(self, ref: Attr | Recv) -> str:
+        param = self.param_of.get(ref.kw)
+        if param is None:
+            raise Unsupported(f"input {ref.kw!r} is not declared")
+        return param
+
     # -- variable prologue -------------------------------------------------
 
-    def _collect_vars(self, stmts: list) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.VarDecl, ast.Assign)):
-                if stmt.name not in self.vars:
-                    self.vars[stmt.name] = f"v{len(self.vars)}"
-            elif isinstance(stmt, ast.ForEach):
-                self._collect_vars(stmt.body)
-            elif isinstance(stmt, ast.If):
-                self._collect_vars(stmt.then_body)
-                self._collect_vars(stmt.else_body)
-
     def _emit_prologue(self) -> None:
-        """Pre-bind every assigned name to what an unassigned read yields.
+        """Pre-bind every block variable to what an unassigned read yields.
 
-        The interpreter resolves a name through vars -> local-attribute
-        kwargs -> constants at each read; binding the fallback up front
-        (or ``_UNBOUND`` when there is none) reproduces that resolution
-        for reads on paths that skipped every assignment.
+        The interpreter reads a variable no path has assigned yet as the
+        local-attribute input or named constant of the same name; binding
+        that fallback up front (or ``_UNBOUND`` when there is none)
+        reproduces it for reads on paths that skipped every assignment.
         """
-        for name, pyname in self.vars.items():
-            kw = _kw_local(name)
-            if kw in self.param_of:
-                self._line(f"{pyname} = {self.param_of[kw]}")
-            elif name in self.compiler.constants:
-                value = self._const_expr(self.compiler.constants[name])
-                self._line(f"{pyname} = {value}")
-            else:
+        for name, fallback in self.interp.resolution.variables.items():
+            pyname = self.vars[name] = f"v{len(self.vars)}"
+            if fallback is None:
                 self._line(f"{pyname} = _UNBOUND")
                 self.guarded.add(name)
+            else:
+                self._line(f"{pyname} = {self._ref(fallback)}")
 
     # -- statements --------------------------------------------------------
 
-    def _emit_stmts(self, stmts: list, loops: dict[str, tuple[str, int]]) -> None:
+    def _emit_stmts(self, stmts: list) -> None:
         if not stmts:
             self._line("pass")
             return
         for stmt in stmts:
-            self._emit_stmt(stmt, loops)
+            self._emit_stmt(stmt)
 
-    def _emit_stmt(self, stmt: ast.Stmt, loops: dict[str, tuple[str, int]]) -> None:
+    def _emit_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.VarDecl):
-            atoms = self.compiler.schema.atoms
-            if stmt.type_name not in atoms:
-                # The interpreter fails lazily at execution; keep it.
-                raise Unsupported(f"unknown var type {stmt.type_name!r}")
-            zero = self._const_expr(atoms.get(stmt.type_name).default)
+            zero = self._const_expr(self.interp.atoms.get(stmt.type_name).default)
             self._line(f"{self.vars[stmt.name]} = {zero}")
         elif isinstance(stmt, ast.Assign):
-            value = self._expr(stmt.value, loops)
+            value = self._expr(stmt.value)
             self._line(f"{self.vars[stmt.name]} = {value}")
         elif isinstance(stmt, ast.ForEach):
-            if stmt.var in loops:
-                # The interpreter's loop teardown *pops* the variable, so
-                # the outer binding would be lost after the inner loop --
-                # lexical codegen cannot reproduce that; decline.
-                raise Unsupported(f"loop variable {stmt.var!r} shadows a loop")
-            count = self._loop_count_param(stmt.port)
-            depth = len(loops)
-            self._line(f"for _i{depth} in range(len({count})):")
-            inner = dict(loops)
-            inner[stmt.var] = (stmt.port, depth)
+            loop = self.refs.get(id(stmt))
+            if loop is None:
+                raise Unsupported(f"unresolved loop over {stmt.port!r}")
+            self._line(
+                f"for _i{loop.depth} in range(len({self._param(loop)})):"
+            )
             self.depth += 1
-            self._emit_stmts(stmt.body, inner)
+            self._emit_stmts(stmt.body)
             self.depth -= 1
         elif isinstance(stmt, ast.If):
-            self._line(f"if {self._expr(stmt.cond, loops)}:")
+            self._line(f"if {self._expr(stmt.cond)}:")
             self.depth += 1
-            self._emit_stmts(stmt.then_body, loops)
+            self._emit_stmts(stmt.then_body)
             self.depth -= 1
             if stmt.else_body:
                 self._line("else:")
                 self.depth += 1
-                self._emit_stmts(stmt.else_body, loops)
+                self._emit_stmts(stmt.else_body)
                 self.depth -= 1
         elif isinstance(stmt, ast.Return):
-            self._line(f"return {self._result(stmt.value, loops)}")
+            self._line(f"return {self._result(stmt.value)}")
         elif isinstance(stmt, ast.ExprStmt):
-            self._line(self._expr(stmt.value, loops))
+            self._line(self._expr(stmt.value))
         else:  # pragma: no cover - exhaustive over Stmt
             raise Unsupported(f"unknown statement {stmt!r}")
 
-    def _loop_count_param(self, port: str) -> str:
-        """The received list whose length drives a ``For Each`` over ``port``.
-
-        Every received list for a port has one element per connection, so
-        any of them works; the smallest value name keeps emission canonical.
-        """
-        values = sorted(
-            value for (p, value) in self.analysis.received_final if p == port
-        )
-        if not values:  # pragma: no cover - build_inputs guarantees one
-            raise Unsupported(f"no received list for port {port!r}")
-        return self.param_of[_kw_received(port, values[0])]
-
     # -- expressions -------------------------------------------------------
 
-    def _result(self, expr: ast.Expr, loops: dict[str, tuple[str, int]]) -> str:
-        text = self._expr(expr, loops)
+    def _result(self, expr: ast.Expr) -> str:
+        text = self._expr(expr)
         return f"bool({text})" if self.bool_mode else text
 
-    def _expr(self, expr: ast.Expr, loops: dict[str, tuple[str, int]]) -> str:
+    def _expr(self, expr: ast.Expr) -> str:
         if isinstance(expr, ast.Literal):
             return self._const_expr(expr.value)
-        if isinstance(expr, ast.Name):
-            return self._name(expr, loops)
-        if isinstance(expr, ast.FieldRef):
-            return self._field(expr, loops)
         if isinstance(expr, ast.Call):
-            fn = self.compiler.functions.get(expr.fn)
+            fn = self.interp.functions.get(expr.fn)
             if fn is None:
                 raise Unsupported(f"unknown function {expr.fn!r}")
-            args = ", ".join(self._expr(arg, loops) for arg in expr.args)
+            args = ", ".join(self._expr(arg) for arg in expr.args)
             return f"{self._env_ref(fn)}({args})"
         if isinstance(expr, ast.Unary):
-            operand = self._expr(expr.operand, loops)
+            operand = self._expr(expr.operand)
             return f"(not {operand})" if expr.op == "not" else f"(- {operand})"
         if isinstance(expr, ast.Binary):
-            left = self._expr(expr.left, loops)
-            right = self._expr(expr.right, loops)
+            left = self._expr(expr.left)
+            right = self._expr(expr.right)
             op = expr.op
             if op in ("and", "or"):
                 return f"(bool({left}) {op} bool({right}))"
-            if op == "/":
+            fn = BINARY_OPS.get(op)
+            if fn is None:
+                raise Unsupported(f"unknown operator {op!r}")
+            if fn is _div:
                 return f"_div({left}, {right})"
-            if op in ("+", "-", "*", "%", "==", "!=", "<", "<=", ">", ">="):
-                return f"({left} {op} {right})"
-            raise Unsupported(f"unknown operator {op!r}")
-        raise Unsupported(f"unknown expression {expr!r}")
+            return f"({left} {op} {right})"
+        ref = self.refs.get(id(expr))
+        if ref is None:
+            raise Unsupported(f"unresolved expression {expr!r}")
+        return self._ref(ref)
 
-    def _name(self, expr: ast.Name, loops: dict[str, tuple[str, int]]) -> str:
-        ident = expr.ident
-        if ident in loops:
-            return f"_bare({ident!r})"
-        if ident in self.vars:
-            pyname = self.vars[ident]
-            if ident in self.guarded:
+    def _ref(self, ref: Any) -> str:
+        """The Python expression reading one resolver binding."""
+        if isinstance(ref, Var):
+            pyname = self.vars[ref.name]
+            if ref.name in self.guarded:
                 # The guard names the canonical register, not the source
                 # variable: embedding the user name would make otherwise
                 # structurally identical bodies emit different source and
@@ -329,24 +283,11 @@ class _Codegen:
                 # cites the source name and line; both say "unbound name".)
                 return f"_chk({pyname}, {pyname!r})"
             return pyname
-        param = self.param_of.get(_kw_local(ident))
-        if param is not None:
-            return param
-        if ident in self.compiler.constants:
-            return self._const_expr(self.compiler.constants[ident])
-        raise Unsupported(f"unresolvable name {ident!r}")
-
-    def _field(self, expr: ast.FieldRef, loops: dict[str, tuple[str, int]]) -> str:
-        base = expr.base
-        if base in loops:
-            port, depth = loops[base]
-            param = self.param_of.get(_kw_received(port, expr.field_name))
-            if param is None:
-                raise Unsupported(f"unresolvable field {base}.{expr.field_name}")
-            return f"{param}[_i{depth}]"
-        param = self.param_of.get(_kw_received(base, expr.field_name))
-        if param is None:
-            raise Unsupported(f"unresolvable field {base}.{expr.field_name}")
+        if isinstance(ref, Const):
+            return self._const_expr(self.interp.constants[ref.name])
+        param = self._param(ref)
+        if isinstance(ref, Recv) and ref.depth is not None:
+            return f"{param}[_i{ref.depth}]"
         return param
 
     # -- assembly ----------------------------------------------------------
@@ -354,12 +295,11 @@ class _Codegen:
     def build(self) -> tuple[str, list[Any]]:
         body = self.interp.body
         if isinstance(body, ast.Block):
-            self._collect_vars(body.body)
             self._emit_prologue()
-            self._emit_stmts(body.body, {})
+            self._emit_stmts(body.body)
             self._line("raise _no_return()")
         else:
-            self._line(f"return {self._result(body, {})}")
+            self._line(f"return {self._result(body)}")
         params = ", ".join(f"a{i}" for i in range(len(self.kwnames)))
         source = f"def _rule({params}):\n" + "\n".join(self.lines) + "\n"
         return source, self.env_objects

@@ -58,6 +58,10 @@ class SelfRef:
 
 Input = Local | Received | SelfRef
 
+#: static op count charged to a native (opaque Python) rule body -- the cost
+#: model's and the query planner's stand-in where there is no AST to count.
+NATIVE_OPS = 8
+
 
 @dataclass(frozen=True)
 class AttributeTarget:

@@ -2,8 +2,9 @@
 
 A small schema language reproducing the paper's Figures 1-4, with a lexer
 (:mod:`repro.dsl.lexer`), recursive-descent parser (:mod:`repro.dsl.parser`),
-AST (:mod:`repro.dsl.ast`), and compiler to schema objects with static
-dependency analysis (:mod:`repro.dsl.compiler`).
+AST (:mod:`repro.dsl.ast`), the one name resolver every consumer of a rule
+body reads (:mod:`repro.dsl.resolve`), and compiler to schema objects with
+statically declared dependencies (:mod:`repro.dsl.compiler`).
 
 Example (Figure 1's milestone class)::
 

@@ -264,3 +264,36 @@ class SchemaDecl:
 
     relationships: tuple[RelationshipDecl, ...] = ()
     classes: tuple[ClassDecl, ...] = ()
+
+
+# ---------------------------------------------------------------------------
+# traversal
+# ---------------------------------------------------------------------------
+
+
+def children(node: Any) -> tuple:
+    """Direct sub-nodes of an expression, statement or block, in source order.
+
+    The one description of the tree's shape: walkers that only need to
+    visit or count nodes iterate this instead of re-listing node types.
+    """
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, (Assign, Return, ExprStmt)):
+        return (node.value,)
+    if isinstance(node, If):
+        return (node.cond, *node.then_body, *node.else_body)
+    if isinstance(node, (ForEach, Block)):
+        return node.body
+    return ()  # literals, names, field references, variable declarations
+
+
+def walk(node: Any):
+    """``node`` and everything below it, pre-order."""
+    yield node
+    for child in children(node):
+        yield from walk(child)

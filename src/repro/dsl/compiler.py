@@ -7,13 +7,14 @@ that role.  :func:`compile_schema` turns parsed declarations into
 * relationship declarations become :class:`RelationshipType` objects;
 * class declarations become :class:`ObjectClass` objects, with ``subtype of
   ... where <expr>`` producing predicate subtypes;
-* each rule body is statically analysed for its dependencies -- bare names
+* each rule body is resolved once (:mod:`repro.dsl.resolve`) -- bare names
   that resolve to class attributes become :class:`Local` inputs, and
   ``x.value`` references become :class:`Received` inputs (``x`` being a
   ``For Each`` loop variable over a multi port, or the name of a
   single-valued port) -- and compiled into a closure that interprets the
-  body.  Because dependencies are declared, compiled rules are
-  indistinguishable from hand-written ones to the evaluation engine.
+  body through those bindings.  Because dependencies are declared, compiled
+  rules are indistinguishable from hand-written ones to the evaluation
+  engine.
 
 Semantics notes:
 
@@ -33,6 +34,7 @@ Semantics notes:
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Mapping
 
 from repro.core import atoms as atoms_mod
@@ -57,6 +59,16 @@ from repro.core.schema import (
 )
 from repro.dsl import ast
 from repro.dsl.parser import parse
+from repro.dsl.resolve import (
+    Attr,
+    Const,
+    Port,
+    Recv,
+    Resolution,
+    Scope,
+    Var,
+    resolve,
+)
 from repro.errors import DslCompileError, DslRuntimeError
 
 DEFAULT_FUNCTIONS: dict[str, Callable[..., Any]] = {
@@ -179,7 +191,7 @@ class SchemaCompiler:
     # -- rules ------------------------------------------------------------
 
     def _compile_class_rules(self, decl: ast.ClassDecl, cls: ObjectClass) -> None:
-        scope = _ClassScope(self, decl.name)
+        scope = self.class_scope(decl.name)
         for rule_decl in decl.rules:
             cls.add_rule(self._compile_rule(scope, rule_decl))
         for constraint_decl in decl.constraints:
@@ -192,7 +204,7 @@ class SchemaCompiler:
                 predicate=_booleanize(evaluator),
             )
 
-    def _compile_rule(self, scope: "_ClassScope", decl: ast.RuleDecl) -> Rule:
+    def _compile_rule(self, scope: Scope, decl: ast.RuleDecl) -> Rule:
         inputs, evaluator = self._compile_body(scope, decl.body, decl.line, decl.column)
         if decl.target_attr is not None:
             target: AttributeTarget | TransmitTarget = AttributeTarget(decl.target_attr)
@@ -204,7 +216,7 @@ class SchemaCompiler:
         return Rule(target=target, inputs=inputs, body=evaluator, name=name)
 
     def _compile_constraint(
-        self, scope: "_ClassScope", decl: ast.ConstraintDecl
+        self, scope: Scope, decl: ast.ConstraintDecl
     ) -> Constraint:
         inputs, evaluator = self._compile_body(scope, decl.predicate, decl.line, decl.column)
         recovery = None
@@ -225,255 +237,59 @@ class SchemaCompiler:
         )
 
     def _compile_body(
-        self, scope: "_ClassScope", body: ast.RuleBody, line: int, column: int = 0
+        self, scope: Scope, body: ast.RuleBody, line: int, column: int = 0
     ):
         """Compile one rule/constraint/where body to ``(inputs, evaluator)``.
 
-        ``line``/``column`` locate the construct that introduced the body
-        (the declaration, or a query's ``where`` token): any
-        :class:`DslCompileError` raised during analysis *without* its own
-        position -- AST-node errors already carry exact token spans -- is
-        re-raised with this fallback position so multi-line sources never
-        report an unlocated (or, historically, hardcoded ``line=1``) error.
+        The first resolution problem is a :class:`DslCompileError` at the
+        offending node; ``line``/``column`` (the declaration, or a query's
+        ``where`` token) stand in for nodes built without a position.
         """
-        analysis = _DependencyAnalysis(self, scope)
-        try:
-            if isinstance(body, ast.Block):
-                analysis.analyse_block(body)
-            else:
-                analysis.analyse_expr(body, local_vars=set(), loops={})
-            inputs = analysis.build_inputs()
-        except DslCompileError as exc:
-            if exc.line is None and line:
-                raise DslCompileError(
-                    exc.args[0], line=line, column=column
-                ) from None
-            raise
-        interpreter = _RuleInterpreter(self, scope, body, analysis)
-        return inputs, interpreter
 
-    # -- name resolution helpers ------------------------------------------
+        def fail(code: str, message: str, node: Any) -> None:
+            raise DslCompileError(
+                message, line=node.line or line, column=node.column or column
+            )
 
-    def class_attr_names(self, class_name: str) -> set[str]:
-        names: set[str] = set()
+        resolution = resolve(body, scope, fail)
+        inputs: dict[str, Local | Received] = {
+            Attr(attr).kw: Local(attr) for attr in sorted(resolution.locals)
+        }
+        for port, value in sorted(resolution.received):
+            inputs[Recv(port, value, None).kw] = Received(port, value)
+        return inputs, _RuleInterpreter(self, scope.class_name, resolution)
+
+    def class_scope(self, class_name: str) -> Scope:
+        """What rule bodies of ``class_name`` can see, inheritance flattened."""
+        attrs: set[str] = set()
+        ports: dict[str, Port] = {}
+        for cls in reversed(self._lineage(class_name)):
+            attrs.update(cls.attributes)
+            for port in cls.ports.values():
+                rel = self.schema.relationship_types.get(port.rel_type)
+                received = None if rel is None else tuple(
+                    f.value for f in rel.values_received_by(port.end)
+                )
+                ports[port.name] = Port(port.multi, port.rel_type, received)
+        return Scope(
+            class_name,
+            attrs,
+            ports,
+            self.constants,
+            self.functions,
+            self.schema.atoms,
+        )
+
+    def _lineage(self, class_name: str) -> list[ObjectClass]:
+        chain: list[ObjectClass] = []
         current: str | None = class_name
         while current is not None:
             cls = self.schema.classes.get(current)
             if cls is None:
                 raise DslCompileError(f"unknown supertype {current!r}")
-            names.update(cls.attributes)
+            chain.append(cls)
             current = cls.supertype
-        return names
-
-    def class_ports(self, class_name: str) -> dict[str, PortDef]:
-        ports: dict[str, PortDef] = {}
-        chain: list[str] = []
-        current: str | None = class_name
-        while current is not None:
-            chain.append(current)
-            cls = self.schema.classes.get(current)
-            if cls is None:
-                raise DslCompileError(f"unknown supertype {current!r}")
-            current = cls.supertype
-        for cls_name in reversed(chain):
-            ports.update(self.schema.classes[cls_name].ports)
-        return ports
-
-
-class _ClassScope:
-    """Name-resolution context for one class's rule bodies."""
-
-    def __init__(self, compiler: SchemaCompiler, class_name: str) -> None:
-        self.compiler = compiler
-        self.class_name = class_name
-        self.attr_names = compiler.class_attr_names(class_name)
-        self.ports = compiler.class_ports(class_name)
-
-    def received_flows(
-        self, port_name: str, line: int | None = None, column: int | None = None
-    ) -> list[FlowDecl]:
-        port = self.ports.get(port_name)
-        if port is None:
-            raise DslCompileError(
-                f"class {self.class_name!r}: unknown port {port_name!r}",
-                line=line,
-                column=column,
-            )
-        rel = self.compiler.schema.relationship_types.get(port.rel_type)
-        if rel is None:
-            raise DslCompileError(
-                f"class {self.class_name!r}: port {port_name!r} uses unknown "
-                f"relationship type {port.rel_type!r}",
-                line=line,
-                column=column,
-            )
-        return rel.values_received_by(port.end)
-
-
-def _kw_local(attr: str) -> str:
-    return f"l_{attr}"
-
-
-def _kw_received(port: str, value: str) -> str:
-    return f"r_{port}__{value}"
-
-
-class _DependencyAnalysis:
-    """Static walk collecting Local and Received dependencies."""
-
-    def __init__(self, compiler: SchemaCompiler, scope: _ClassScope) -> None:
-        self.compiler = compiler
-        self.scope = scope
-        self.locals_used: set[str] = set()
-        self.received_used: set[tuple[str, str]] = set()
-        #: ports iterated by For Each loops (need a count source),
-        #: mapped to the source position of the first loop over each.
-        self.loop_ports: dict[str, tuple[int, int]] = {}
-
-    # -- entry points ------------------------------------------------------
-
-    def analyse_block(self, block: ast.Block) -> None:
-        local_vars: set[str] = set()
-        self._analyse_stmts(block.body, local_vars, loops={})
-
-    def _analyse_stmts(
-        self, stmts, local_vars: set[str], loops: dict[str, str]
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.VarDecl):
-                local_vars.add(stmt.name)
-            elif isinstance(stmt, ast.Assign):
-                self.analyse_expr(stmt.value, local_vars, loops)
-                local_vars.add(stmt.name)
-            elif isinstance(stmt, ast.ForEach):
-                port = self.scope.ports.get(stmt.port)
-                if port is None:
-                    raise DslCompileError(
-                        f"class {self.scope.class_name!r}: For Each over "
-                        f"unknown port {stmt.port!r}",
-                        line=stmt.line,
-                        column=stmt.column,
-                    )
-                if not port.multi:
-                    raise DslCompileError(
-                        f"class {self.scope.class_name!r}: For Each requires a "
-                        f"Multi port; {stmt.port!r} is single-valued",
-                        line=stmt.line,
-                        column=stmt.column,
-                    )
-                self.loop_ports.setdefault(stmt.port, (stmt.line, stmt.column))
-                inner = dict(loops)
-                inner[stmt.var] = stmt.port
-                self._analyse_stmts(stmt.body, set(local_vars), inner)
-            elif isinstance(stmt, ast.If):
-                self.analyse_expr(stmt.cond, local_vars, loops)
-                self._analyse_stmts(stmt.then_body, set(local_vars), loops)
-                self._analyse_stmts(stmt.else_body, set(local_vars), loops)
-            elif isinstance(stmt, (ast.Return, ast.ExprStmt)):
-                self.analyse_expr(stmt.value, local_vars, loops)
-            else:  # pragma: no cover - exhaustive over Stmt
-                raise TypeError(f"unknown statement {stmt!r}")
-
-    def analyse_expr(
-        self, expr: ast.Expr, local_vars: set[str], loops: dict[str, str]
-    ) -> None:
-        if isinstance(expr, ast.Literal):
-            return
-        if isinstance(expr, ast.Name):
-            ident = expr.ident
-            if ident in local_vars or ident in loops:
-                return
-            if ident in self.scope.attr_names:
-                self.locals_used.add(ident)
-                return
-            if ident in self.compiler.constants:
-                return
-            raise DslCompileError(
-                f"class {self.scope.class_name!r}: unknown name {ident!r}",
-                line=expr.line,
-                column=expr.column,
-            )
-        if isinstance(expr, ast.FieldRef):
-            base = expr.base
-            if base in loops:
-                port_name = loops[base]
-            elif base in self.scope.ports:
-                if self.scope.ports[base].multi:
-                    raise DslCompileError(
-                        f"class {self.scope.class_name!r}: port {base!r} is "
-                        f"Multi; use 'For Each x Related To {base}'",
-                        line=expr.line,
-                        column=expr.column,
-                    )
-                port_name = base
-            else:
-                raise DslCompileError(
-                    f"class {self.scope.class_name!r}: {base!r} is neither a "
-                    f"loop variable nor a port",
-                    line=expr.line,
-                    column=expr.column,
-                )
-            flows = {
-                f.value
-                for f in self.scope.received_flows(
-                    port_name, expr.line, expr.column
-                )
-            }
-            if expr.field_name not in flows:
-                raise DslCompileError(
-                    f"class {self.scope.class_name!r}: port {port_name!r} "
-                    f"does not receive a value named {expr.field_name!r}",
-                    line=expr.line,
-                    column=expr.column,
-                )
-            self.received_used.add((port_name, expr.field_name))
-            return
-        if isinstance(expr, ast.Call):
-            if expr.fn not in self.compiler.functions:
-                raise DslCompileError(
-                    f"class {self.scope.class_name!r}: unknown function "
-                    f"{expr.fn!r}",
-                    line=expr.line,
-                    column=expr.column,
-                )
-            for arg in expr.args:
-                self.analyse_expr(arg, local_vars, loops)
-            return
-        if isinstance(expr, ast.Unary):
-            self.analyse_expr(expr.operand, local_vars, loops)
-            return
-        if isinstance(expr, ast.Binary):
-            self.analyse_expr(expr.left, local_vars, loops)
-            self.analyse_expr(expr.right, local_vars, loops)
-            return
-        raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
-
-    # -- outputs ------------------------------------------------------------
-
-    def build_inputs(self) -> dict[str, Local | Received]:
-        inputs: dict[str, Local | Received] = {}
-        for attr in sorted(self.locals_used):
-            inputs[_kw_local(attr)] = Local(attr)
-        received = set(self.received_used)
-        # Loops whose bodies read no transmitted value still need an
-        # iteration count: depend on the first value the port can receive.
-        for port in sorted(self.loop_ports):
-            if not any(p == port for p, __ in received):
-                line, column = self.loop_ports[port]
-                flows = self.scope.received_flows(port, line, column)
-                if not flows:
-                    raise DslCompileError(
-                        f"class {self.scope.class_name!r}: cannot determine "
-                        f"the iteration count of 'For Each ... Related To "
-                        f"{port}': no value flows toward this end",
-                        line=line,
-                        column=column,
-                    )
-                received.add((port, flows[0].value))
-        for port, value in sorted(received):
-            inputs[_kw_received(port, value)] = Received(port, value)
-        self.received_final = received
-        return inputs
+        return chain
 
 
 class _ReturnSignal(Exception):
@@ -483,31 +299,54 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+def _div(left: Any, right: Any) -> Any:
+    """DSL division: C-style integer division when both operands are ints."""
+    if isinstance(left, int) and isinstance(right, int):
+        return left // right
+    return left / right
+
+
+#: the strict binary operators (``and``/``or`` short-circuit and are
+#: handled apart).  Every entry but ``/`` means what Python's infix
+#: operator of the same spelling means, which the code generator relies on.
+BINARY_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": operator.mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 class _RuleInterpreter:
     """The compiled rule body: a callable over the declared inputs."""
 
     def __init__(
-        self,
-        compiler: SchemaCompiler,
-        scope: _ClassScope,
-        body: ast.RuleBody,
-        analysis: _DependencyAnalysis,
+        self, compiler: SchemaCompiler, class_name: str, resolution: Resolution
     ) -> None:
-        self.compiler = compiler
-        self.scope = scope
-        self.body = body
-        self.analysis = analysis
-        self.__name__ = f"dsl_rule_{scope.class_name}"
+        self.functions = compiler.functions
+        self.constants = compiler.constants
+        self.atoms = compiler.schema.atoms
+        self.class_name = class_name
+        self.body = resolution.body
+        self.resolution = resolution
+        self.__name__ = f"dsl_rule_{class_name}"
 
     def __call__(self, **kwargs: Any) -> Any:
-        env = _Env(self, kwargs)
+        env = _Env(kwargs)
         if isinstance(self.body, ast.Block):
             try:
                 self._exec_stmts(self.body.body, env)
             except _ReturnSignal as signal:
                 return signal.value
             raise DslRuntimeError(
-                f"rule body in class {self.scope.class_name!r} finished "
+                f"rule body in class {self.class_name!r} finished "
                 f"without a return statement"
             )
         return self._eval(self.body, env)
@@ -520,17 +359,14 @@ class _RuleInterpreter:
 
     def _exec(self, stmt: ast.Stmt, env: "_Env") -> None:
         if isinstance(stmt, ast.VarDecl):
-            env.vars[stmt.name] = _zero_of(self.compiler, stmt.type_name)
+            env.vars[stmt.name] = self.atoms.get(stmt.type_name).default
         elif isinstance(stmt, ast.Assign):
             env.vars[stmt.name] = self._eval(stmt.value, env)
         elif isinstance(stmt, ast.ForEach):
-            count = env.loop_count(stmt.port)
-            for index in range(count):
-                env.push_loop(stmt.var, stmt.port, index)
-                try:
-                    self._exec_stmts(stmt.body, env)
-                finally:
-                    env.pop_loop(stmt.var)
+            loop = self.resolution.refs[id(stmt)]
+            for index in range(len(env.kwargs[loop.kw])):
+                env.index[loop.depth] = index
+                self._exec_stmts(stmt.body, env)
         elif isinstance(stmt, ast.If):
             if self._eval(stmt.cond, env):
                 self._exec_stmts(stmt.then_body, env)
@@ -548,119 +384,50 @@ class _RuleInterpreter:
     def _eval(self, expr: ast.Expr, env: "_Env") -> Any:
         if isinstance(expr, ast.Literal):
             return expr.value
-        if isinstance(expr, ast.Name):
-            return env.lookup_name(expr)
-        if isinstance(expr, ast.FieldRef):
-            return env.lookup_field(expr)
         if isinstance(expr, ast.Call):
-            fn = self.compiler.functions[expr.fn]
+            fn = self.functions[expr.fn]
             args = [self._eval(arg, env) for arg in expr.args]
             return fn(*args)
         if isinstance(expr, ast.Unary):
             operand = self._eval(expr.operand, env)
             return (not operand) if expr.op == "not" else -operand
         if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, env)
-        raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
-
-    def _eval_binary(self, expr: ast.Binary, env: "_Env") -> Any:
-        op = expr.op
-        if op == "and":
-            return bool(self._eval(expr.left, env)) and bool(
-                self._eval(expr.right, env)
+            op = expr.op
+            if op == "and":
+                return bool(self._eval(expr.left, env)) and bool(
+                    self._eval(expr.right, env)
+                )
+            if op == "or":
+                return bool(self._eval(expr.left, env)) or bool(
+                    self._eval(expr.right, env)
+                )
+            return BINARY_OPS[op](
+                self._eval(expr.left, env), self._eval(expr.right, env)
             )
-        if op == "or":
-            return bool(self._eval(expr.left, env)) or bool(
-                self._eval(expr.right, env)
-            )
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if op == "%":
-            return left % right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        raise TypeError(f"unknown operator {op!r}")  # pragma: no cover
+        # A name or field reference: read what the resolver bound it to.
+        ref = self.resolution.refs.get(id(expr))
+        if isinstance(ref, Var):
+            if ref.name in env.vars:
+                return env.vars[ref.name]
+            ref = self.resolution.variables[ref.name]
+        if isinstance(ref, Attr):
+            return env.kwargs[ref.kw]
+        if isinstance(ref, Const):
+            return self.constants[ref.name]
+        if isinstance(ref, Recv):
+            value = env.kwargs[ref.kw]
+            return value if ref.depth is None else value[env.index[ref.depth]]
+        raise DslRuntimeError(f"unbound name {expr!r}")
 
 
 class _Env:
     """Runtime environment of one rule invocation."""
 
-    def __init__(self, interp: _RuleInterpreter, kwargs: dict[str, Any]) -> None:
-        self.interp = interp
+    def __init__(self, kwargs: dict[str, Any]) -> None:
         self.kwargs = kwargs
         self.vars: dict[str, Any] = {}
-        #: loop variable -> (port, index)
-        self.loops: dict[str, tuple[str, int]] = {}
-
-    def push_loop(self, var: str, port: str, index: int) -> None:
-        self.loops[var] = (port, index)
-
-    def pop_loop(self, var: str) -> None:
-        self.loops.pop(var, None)
-
-    def loop_count(self, port: str) -> int:
-        # Any received list for this port has one element per connection.
-        for (p, value) in self.interp.analysis.received_final:
-            if p == port:
-                return len(self.kwargs[_kw_received(p, value)])
-        raise DslRuntimeError(  # pragma: no cover - prevented at compile time
-            f"no received list available for port {port!r}"
-        )
-
-    def lookup_name(self, expr: ast.Name) -> Any:
-        ident = expr.ident
-        if ident in self.loops:
-            raise DslRuntimeError(
-                f"loop variable {ident!r} used bare; reference a transmitted "
-                f"value as {ident}.<value> (line {expr.line})"
-            )
-        if ident in self.vars:
-            return self.vars[ident]
-        key = _kw_local(ident)
-        if key in self.kwargs:
-            return self.kwargs[key]
-        constants = self.interp.compiler.constants
-        if ident in constants:
-            return constants[ident]
-        raise DslRuntimeError(
-            f"unbound name {ident!r} at line {expr.line}"
-        )
-
-    def lookup_field(self, expr: ast.FieldRef) -> Any:
-        base = expr.base
-        if base in self.loops:
-            port, index = self.loops[base]
-            values = self.kwargs[_kw_received(port, expr.field_name)]
-            return values[index]
-        # Single-valued port reference.
-        return self.kwargs[_kw_received(base, expr.field_name)]
-
-
-def _zero_of(compiler: SchemaCompiler, type_name: str) -> Any:
-    """The initial value of a block-local variable of a given atom type."""
-    if type_name in compiler.schema.atoms:
-        return compiler.schema.atoms.get(type_name).default
-    raise DslRuntimeError(f"unknown local-variable type {type_name!r}")
+        #: loop depth -> index of the current iteration
+        self.index: dict[int, int] = {}
 
 
 def _booleanize(evaluator: Callable[..., Any]) -> Callable[..., bool]:

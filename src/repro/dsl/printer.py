@@ -18,7 +18,7 @@ from typing import Any
 from repro.core.rules import AttributeTarget, Constraint, Rule
 from repro.core.schema import ObjectClass, RelationshipType, Schema
 from repro.dsl import ast
-from repro.dsl.compiler import _RuleInterpreter
+from repro.dsl.resolve import body_of
 from repro.errors import DslError
 
 _INDENT = "    "
@@ -118,15 +118,8 @@ def format_body(body: ast.RuleBody, depth: int) -> str:
 
 
 def _ast_of(callable_body: Any) -> ast.RuleBody | None:
-    # Compiled bodies (and the _booleanize predicate wrapper) keep the
-    # interpreter reachable through __wrapped__; follow the chain.
-    seen: set[int] = set()
-    while callable_body is not None and id(callable_body) not in seen:
-        if isinstance(callable_body, _RuleInterpreter):
-            return callable_body.body
-        seen.add(id(callable_body))
-        callable_body = getattr(callable_body, "__wrapped__", None)
-    return None
+    interp = body_of(callable_body)
+    return interp.body if interp is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +146,7 @@ def format_class(cls: ObjectClass, strict: bool = True) -> str:
     if cls.supertype is not None:
         header += f" subtype of {cls.supertype}"
         if cls.predicate is not None:
-            where_ast = _ast_of(cls.predicate.predicate) or _ast_of(
-                getattr(cls.predicate.predicate, "__wrapped__", None)
-            )
-            # _booleanize wraps the interpreter; reach through the closure.
-            if where_ast is None:
-                where_ast = _unwrap_booleanized(cls.predicate.predicate)
+            where_ast = _ast_of(cls.predicate.predicate)
             if where_ast is None:
                 if strict:
                     raise UnprintableRule(
@@ -209,7 +197,7 @@ def _format_rule(rule: Rule, strict: bool) -> str:
 
 
 def _format_constraint(constraint: Constraint, strict: bool) -> str:
-    body_ast = _unwrap_booleanized(constraint.predicate)
+    body_ast = _ast_of(constraint.predicate)
     if body_ast is None:
         if strict:
             raise UnprintableRule(
@@ -223,23 +211,6 @@ def _format_constraint(constraint: Constraint, strict: bool) -> str:
             f"expression constraints are printable"
         )
     return f"{_INDENT*2}{constraint.name} : {text};"
-
-
-def _unwrap_booleanized(fn: Any) -> ast.RuleBody | None:
-    """Recover the AST from a _booleanize-wrapped (or compiled) interpreter."""
-    body = _ast_of(fn)
-    if body is not None:
-        return body
-    closure = getattr(fn, "__closure__", None)
-    if closure:
-        for cell in closure:
-            try:
-                value = cell.cell_contents
-            except ValueError:  # pragma: no cover - empty cell
-                continue
-            if isinstance(value, _RuleInterpreter):
-                return value.body
-    return None
 
 
 # ---------------------------------------------------------------------------

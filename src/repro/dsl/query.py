@@ -56,20 +56,17 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.predicates import Predicate
-from repro.core.rules import subtype_attr_name
+from repro.core.rules import NATIVE_OPS, subtype_attr_name
 from repro.dsl import ast
-from repro.dsl.compiler import SchemaCompiler, _ClassScope
+from repro.dsl.compiler import SchemaCompiler
 from repro.dsl.parser import Parser
+from repro.dsl.resolve import Scope
 from repro.errors import DslCompileError, DslSyntaxError, QueryError
 from repro.index.manager import AttrIndex, group_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
     from repro.index.manager import IndexManager
-
-#: op count charged per candidate when no analysis facts are available
-#: (mirrors repro.analysis.facts.NATIVE_OPS without importing at load).
-_NATIVE_OPS = 8
 
 _SARG_OPS = frozenset({"==", "<", "<=", ">", ">="})
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
@@ -142,7 +139,7 @@ class Query:
 
         def ops_of(slot_name: str) -> int:
             if cost_model is None:
-                return _NATIVE_OPS
+                return NATIVE_OPS
             return cost_model.ops_of(self.class_name, slot_name)
 
         def pred_ops(predicate: Predicate | None) -> int:
@@ -155,7 +152,7 @@ class Query:
                 if isinstance(decl, Local):
                     ops += ops_of(decl.attr)
                 else:  # a received value: at least one crossing per probe
-                    ops += _NATIVE_OPS
+                    ops += NATIVE_OPS
             return ops
 
         full_ops = pred_ops(self.predicate)
@@ -470,7 +467,7 @@ def compile_query(
     predicate: Predicate | None = None
     where_expr: ast.Expr | None = None
     compiler: SchemaCompiler | None = None
-    scope: _ClassScope | None = None
+    scope: Scope | None = None
     order_by: str | None = None
     descending = False
     limit: int | None = None
@@ -480,7 +477,7 @@ def compile_query(
         parser.advance()
         where_expr = parser.parse_expr()
         compiler = SchemaCompiler(schema, functions=functions, constants=constants)
-        scope = _ClassScope(compiler, class_name)
+        scope = compiler.class_scope(class_name)
         inputs, evaluator = compiler._compile_body(
             scope,
             where_expr,
@@ -563,7 +560,7 @@ def _extract_sargs(
     class_name: str,
     where_expr: ast.Expr,
     compiler: SchemaCompiler,
-    scope: _ClassScope,
+    scope: Scope,
 ) -> tuple[Sarg, ...]:
     """Sargable conjuncts of a ``where`` clause, with compiled residuals."""
     attrs = schema.resolved(class_name).attributes

@@ -33,6 +33,29 @@ def test_type_error_spans(lint_fixture):
     assert spans["CA307"] == (32, 19)  # count + 1 as a constraint
 
 
+def test_loop_variable_shadowing_a_local_is_still_bare():
+    """Inside its loop the For Each variable wins over a block variable of
+    the same name -- as it does at run time.  This schema used to lint clean
+    and fail at the first evaluation with a connection."""
+    source = """
+    relationship r is v : integer from plug; end;
+    object class c is
+      relationships many : r multi socket;
+      attributes total : integer;
+      rules
+        total = begin
+            d : integer;
+            for each d related to many do
+                d := d + 1;
+            end for;
+            return d;
+        end;
+    end;
+    """
+    (diag,) = by_code(analyze_source(source), "CA305")
+    assert (diag.line, diag.column) == (10, 22)
+
+
 def test_condition_and_constraint_shape_checks_are_warnings(lint_fixture):
     diagnostics = lint_fixture("types.cactis")
     for code in ("CA303", "CA307"):

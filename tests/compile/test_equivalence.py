@@ -91,8 +91,6 @@ def _stmts(draw, loop_vars: tuple[str, ...], depth: int):
             out.append(block + "end if;")
         elif kind == "for" and depth > 0:
             var = draw(st.sampled_from(["p", "q"]))
-            if var in loop_vars:
-                continue  # shadowing is declined by codegen; keep it compiled
             body = draw(_stmts(loop_vars + (var,), depth - 1))
             out.append(
                 f"for each {var} related to ins do {' '.join(body)} end for;"

@@ -222,6 +222,66 @@ class TestCompileErrors:
             compile_schema(source)
 
 
+    def test_unknown_local_variable_type_is_a_positioned_compile_error(self):
+        # Used to compile and fail only at the first get_attr, as a
+        # RuleEvaluationError wrapping a DslRuntimeError.
+        source = (
+            "object class c is\n"
+            "  attributes d : integer;\n"
+            "  rules d = begin\n"
+            "      v : bogus;\n"
+            "      return 0;\n"
+            "  end;\n"
+            "end;\n"
+        )
+        with pytest.raises(DslCompileError, match="unknown atom type 'bogus'") as err:
+            compile_schema(source)
+        assert (err.value.line, err.value.column) == (4, 7)
+
+    LOOP = """
+    relationship dep is total : integer from plug; end;
+    object class node is
+      relationships
+        ins  : dep multi socket;
+        outs : dep multi plug;
+      attributes
+        weight : integer;
+        total  : integer;
+      rules
+        total = begin
+            acc : integer;
+            {decl}
+            for each d related to ins do
+                acc := acc + {read};
+            end for;
+            return acc + {after};
+        end;
+        outs total = total;
+    end;
+    """
+
+    def test_bare_loop_variable_rejected(self):
+        # Used to compile, return 0 while nothing was connected, and raise
+        # DslRuntimeError at the first evaluation with a connection.
+        source = self.LOOP.format(decl="", read="d", after="0")
+        with pytest.raises(DslCompileError, match="loop variable 'd' used bare") as err:
+            compile_schema(source)
+        assert (err.value.line, err.value.column) == (15, 30)
+
+    def test_loop_variable_shadows_a_block_variable_only_inside_its_loop(self):
+        decl = "d : integer; d := weight;"
+        with pytest.raises(DslCompileError, match="loop variable 'd' used bare"):
+            compile_schema(self.LOOP.format(decl=decl, read="d", after="0"))
+        db = Database(
+            compile_schema(self.LOOP.format(decl=decl, read="d.total", after="d"))
+        )
+        a = db.create("node", weight=3)
+        b = db.create("node", weight=5)
+        db.connect(b, "ins", a, "outs")
+        assert db.get_attr(a, "total") == 3
+        assert db.get_attr(b, "total") == 3 + 5  # a.total, then the variable d
+
+
 class TestSingleValuedPortAccess:
     def test_direct_field_ref_on_single_port(self):
         source = """

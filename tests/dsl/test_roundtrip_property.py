@@ -45,57 +45,64 @@ _literal_value = st.one_of(
     _string,
 )
 
-_leaf_expr = st.one_of(
-    _literal_value.map(ast.Literal),
-    _ident.map(ast.Name),
-    st.builds(ast.FieldRef, _ident, _ident),
-)
-
 _COMPARE = ("==", "!=", "<", "<=", ">", ">=")
 _ARITH = ("+", "-", "*", "/", "%")
 
 
-def _compound(children: st.SearchStrategy) -> st.SearchStrategy:
-    return st.one_of(
-        st.builds(
-            ast.Binary,
-            st.sampled_from(_ARITH + _COMPARE + ("and", "or")),
-            children,
-            children,
-        ),
-        st.builds(ast.Unary, st.sampled_from(("-", "not")), children),
-        st.builds(
-            ast.Call, _ident, st.lists(children, max_size=3).map(tuple)
-        ),
+def body_strategies(ident: st.SearchStrategy):
+    """``(expression, rule body)`` strategies over an identifier strategy.
+
+    The round trip below draws arbitrary identifiers; the compiler/analyzer
+    agreement test (``tests/dsl/test_resolution_agreement.py``) draws them
+    from a pool that mostly resolves.
+    """
+    leaf_expr = st.one_of(
+        _literal_value.map(ast.Literal),
+        ident.map(ast.Name),
+        st.builds(ast.FieldRef, ident, ident),
     )
 
+    def compound(children: st.SearchStrategy) -> st.SearchStrategy:
+        return st.one_of(
+            st.builds(
+                ast.Binary,
+                st.sampled_from(_ARITH + _COMPARE + ("and", "or")),
+                children,
+                children,
+            ),
+            st.builds(ast.Unary, st.sampled_from(("-", "not")), children),
+            st.builds(
+                ast.Call, ident, st.lists(children, max_size=3).map(tuple)
+            ),
+        )
 
-_expr = st.recursive(_leaf_expr, _compound, max_leaves=12)
+    expr = st.recursive(leaf_expr, compound, max_leaves=12)
 
-_var_decl = st.builds(ast.VarDecl, _ident, _ident)
-_assign = st.builds(ast.Assign, _ident, _expr)
-_return = st.builds(ast.Return, _expr)
-_expr_stmt = st.builds(ast.ExprStmt, _expr)
+    def stmt_block(children: st.SearchStrategy) -> st.SearchStrategy:
+        stmts = st.lists(children, max_size=3).map(tuple)
+        return st.one_of(
+            st.builds(ast.ForEach, ident, ident, stmts),
+            st.builds(ast.If, expr, stmts, stmts),
+        )
 
-
-def _stmt_block(children: st.SearchStrategy) -> st.SearchStrategy:
-    stmts = st.lists(children, max_size=3).map(tuple)
-    return st.one_of(
-        st.builds(ast.ForEach, _ident, _ident, stmts),
-        st.builds(ast.If, _expr, stmts, stmts),
+    stmt = st.recursive(
+        st.one_of(
+            st.builds(ast.VarDecl, ident, ident),
+            st.builds(ast.Assign, ident, expr),
+            st.builds(ast.Return, expr),
+            st.builds(ast.ExprStmt, expr),
+        ),
+        stmt_block,
+        max_leaves=8,
     )
+    rule_body = st.one_of(
+        expr,
+        st.builds(ast.Block, st.lists(stmt, max_size=4).map(tuple)),
+    )
+    return expr, rule_body
 
 
-_stmt = st.recursive(
-    st.one_of(_var_decl, _assign, _return, _expr_stmt),
-    _stmt_block,
-    max_leaves=8,
-)
-
-_rule_body = st.one_of(
-    _expr,
-    st.builds(ast.Block, st.lists(_stmt, max_size=4).map(tuple)),
-)
+_expr, _rule_body = body_strategies(_ident)
 
 _rule = st.one_of(
     st.builds(
