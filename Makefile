@@ -1,6 +1,6 @@
 # Convenience targets for the Cactis reproduction.
 
-.PHONY: install test bench bench-recovery bench-server bench-check examples results ci lint-schema lint-src analysis-check obs-check reorg-check server-check federation-check query-check clean
+.PHONY: install test bench bench-recovery bench-server bench-check bench-gate examples results ci lint-schema lint-src analysis-check obs-check reorg-check server-check federation-check query-check clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -59,6 +59,21 @@ query-check: ## indexed-vs-scan A/B bench
 bench-check: ## the end-to-end harness's own quick traced pass (bench/trace.py wrappers resolve)
 	python3 -m pytest bench -q
 
+# The ref bench-gate measures against: origin/main when there is one, else
+# the parent commit.  Override with `make bench-gate BASE=<git ref>`.
+BASE ?= $(shell git rev-parse -q --verify origin/main >/dev/null 2>&1 && echo origin/main || echo HEAD~1)
+
+bench-gate: ## the two in-process workloads on BASE and on this tree: counters identical, end-to-end within bounds
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"; git worktree prune' EXIT; \
+	git worktree add --detach "$$tmp/base" $(BASE) >/dev/null; \
+	for w in embed_wave embed_query_churn; do \
+		(cd "$$tmp/base" && python3 -m bench run --workload $$w --history "$$tmp/base.jsonl" >/dev/null); \
+		python3 -m bench run --workload $$w --history "$$tmp/head.jsonl" >/dev/null; \
+	done; \
+	python3 -m bench compare "$$tmp/base.jsonl" "$$tmp/head.jsonl" | tee "$$tmp/verdict.txt"; \
+	! grep -E "REGRESSION|CHANGED" "$$tmp/verdict.txt"
+
 bench-server: ## served txn/s + p99 under 16 clients -> benchmarks/results/BENCH_server.json
 	PYTHONPATH=src python -m pytest benchmarks/bench_server.py --benchmark-only -q
 
@@ -74,6 +89,7 @@ ci: ## what .github/workflows/ci.yml runs
 	$(MAKE) federation-check
 	$(MAKE) query-check
 	$(MAKE) bench-check
+	$(MAKE) bench-gate
 
 examples:
 	@for ex in examples/*.py; do echo "== $$ex"; python $$ex > /dev/null && echo ok; done

@@ -118,7 +118,7 @@ class _ClassGraph:
         self.transmitters: dict[tuple, list[tuple[str, str]]] = {}
         self._build()
 
-    def _add_edge(self, src: Node, dst: Node, info: tuple | None) -> None:
+    def _link(self, src: Node, dst: Node, info: tuple | None) -> None:
         self.edges.setdefault(src, {})[dst] = info
         self.edges.setdefault(dst, {})
 
@@ -145,7 +145,7 @@ class _ClassGraph:
                 self.edges.setdefault(dst, {})
                 for dep in rule.deps:
                     if dep[0] == "local":
-                        self._add_edge((cls_name, dep[1]), dst, None)
+                        self._link((cls_name, dep[1]), dst, None)
                     elif dep[0] == "received":
                         __, port_name, value = dep
                         port = ports.get(port_name)
@@ -155,7 +155,7 @@ class _ClassGraph:
                         for sender, sender_port in self.transmitters.get(
                             (port.rel_type, opposite, value), ()
                         ):
-                            self._add_edge(
+                            self._link(
                                 (sender, f"{sender_port}>{value}"),
                                 dst,
                                 (port.rel_type,),

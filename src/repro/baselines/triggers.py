@@ -64,7 +64,7 @@ class EagerTriggerEngine:
     out_of_date: set[Slot]
 
     def __init__(self, host: "Database", budget: int | None = None) -> None:
-        # Baselines walk the database's dependency graph and rule map
+        # Baselines walk the database's dependency-graph view and rule map
         # directly; the incremental engine's host protocol has neither.
         self.host = host
         self.budget = budget

@@ -4,8 +4,12 @@ The incremental evaluator's unit of work is the slot ``(iid, name)``.
 Everything the engine needs to know about a slot -- does it carry a rule,
 which slots depend on it, which port a name crosses -- is resolved by a
 :class:`SlotPlan` once per *instance shape* (class + active predicate
-subtypes, exactly the key :meth:`Database._effective_key` already uses)
-instead of through string-keyed lookups and name re-parsing per visit:
+subtypes) instead of through string-keyed lookups and name re-parsing per
+visit.  The plan is also the only place a shape's structure lives: the
+effective rule map, attribute defs and port defs the primitives validate
+against are plan fields, and the dependency graph
+(:class:`repro.graph.depgraph.DependencyView`) is read off the plan and the
+live connection table, never stored:
 
 * every slot name of the shape gets a dense integer id (``sid``);
 * per-sid arrays carry the rule, the compiled executor, the special role
@@ -18,7 +22,10 @@ instead of through string-keyed lookups and name re-parsing per visit:
   consumer sids`` table; the producer walks its live connections and joins
   against the peer shape's table, which also yields the crossing port;
 * per-sid binding specs rebuild the engine's ``DepBinding`` list from the
-  live connection table without consulting the rule map.
+  live connection table without consulting the rule map;
+* ``port_receives`` lists, per receive port, the ``(value, consumer
+  name)`` pairs a connection on that port feeds, in rule-declaration order
+  -- the derived seeds of a connect / disconnect.
 
 Plans are immutable and shared: the :class:`SlotPlanCache` keyed on the
 effective-shape key hands the same plan to every instance of a shape, with
@@ -85,6 +92,11 @@ class SlotPlan:
         "receivers",
         "binding_specs",
         "flow_defaults",
+        "rule_for",
+        "attributes",
+        "ports",
+        "constraints",
+        "port_receives",
     )
 
     def __init__(self) -> None:
@@ -114,6 +126,18 @@ class SlotPlan:
         #: transmit name -> dummy-instance default for every flow of every
         #: port, so a dangling read never re-parses the name.
         self.flow_defaults: dict[str, Any] = {}
+        #: slot name -> Rule in declaration order (class rules, then each
+        #: active subtype's additions and overrides).
+        self.rule_for: dict[str, Rule] = {}
+        #: attribute name -> AttributeDef, class plus active subtypes.
+        self.attributes: dict[str, Any] = {}
+        #: port name -> PortDef, class plus active subtypes.
+        self.ports: dict[str, Any] = {}
+        #: names of the constraint slots, in declaration order.
+        self.constraints: tuple[str, ...] = ()
+        #: receive port -> (value, consumer slot name) per received input,
+        #: in declaration order, repeats kept.
+        self.port_receives: dict[str, tuple[tuple[str, str], ...]] = {}
 
     def resolve_bindings(self, sid: int, iid: int, instance: Any) -> list[DepBinding]:
         """The engine's DepBinding list for one slot, from live connections."""
@@ -138,28 +162,79 @@ class SlotPlan:
                 out.append(DepBinding(kw=kw, self_ref=True))
         return out
 
+    def dependents(self, iid: int, name: str, plans: "SlotPlanCache") -> list:
+        """Slots whose rules read ``(iid, name)``: one entry per edge.
 
-def _effective_ports(db: Any, instance: Any) -> dict:
-    base = db.schema.resolved(instance.class_name)
-    ports = dict(base.ports)
-    for subtype in sorted(instance.active_subtypes):
-        ports.update(db.schema.resolved(subtype).ports)
-    return ports
+        The same edges, in the same order, as the engine's marking
+        fan-out: local dependents, then per live connection the peer
+        shape's receivers of this value.  Two ports of one consumer wired
+        to the same producer port are two edges.
+        """
+        sid = self.index.get(name)
+        if sid is not None:
+            names = self.names
+            out = [(iid, names[dsid]) for dsid in self.local_dependents[sid]]
+            port, value = self.port_of[sid], self.value_of[sid]
+        elif is_transmit_name(name):  # a flow this shape sends but never computes
+            out = []
+            port, value = split_transmit_name(name)
+        else:
+            return []
+        if port is not None:
+            for conn in plans.instance_of(iid).connections_on(port):
+                peer_plan = plans.plan_of(conn.peer)
+                for tsid in peer_plan.receivers.get((conn.peer_port, value), ()):
+                    out.append((conn.peer, peer_plan.names[tsid]))
+        return out
+
+    def dependencies(self, iid: int, name: str, instance: Any) -> list:
+        """Slots ``(iid, name)``'s rule reads: the transpose of :meth:`dependents`."""
+        sid = self.index.get(name)
+        specs = self.binding_specs[sid] if sid is not None else None
+        out: list = []
+        seen: set = set()
+        for spec in specs or ():
+            tag, source, value = spec[0], spec[2], spec[3]
+            if tag == _B_SELF or (source, value) in seen:
+                continue
+            seen.add((source, value))
+            if tag == _B_LOCAL:
+                out.append((iid, source))
+            else:
+                for conn in instance.connections_on(source):
+                    out.append((conn.peer, transmit_name(conn.peer_port, value)))
+        return out
 
 
 def build_slot_plan(db: Any, instance: Any) -> SlotPlan:
-    """Flatten one instance shape against a Database's cached structure."""
+    """Flatten one instance shape: the one builder of its structure."""
     plan = SlotPlan()
     plan.class_name = instance.class_name
-    rulemap = db._rulemap(instance)
-    attrmap = db._attrmap(instance)
+    schema = db.schema
+    base = schema.resolved(instance.class_name)
+    rulemap = dict(base.rule_for)
+    attrmap = plan.attributes = dict(base.attributes)
+    ports = plan.ports = dict(base.ports)
+    for subtype in sorted(instance.active_subtypes):
+        for rule in db.subtypes.delta_rules(instance.class_name, subtype):
+            rulemap[rule.slot_name] = rule
+        view = schema.resolved(subtype)
+        attrmap.update(view.attributes)
+        ports.update(view.ports)
+    plan.rule_for = rulemap
+    plan.constraints = tuple(n for n in rulemap if is_constraint_attr(n))
+    port_receives: dict[str, list[tuple[str, str]]] = {}
+    for name, rule in rulemap.items():
+        for __, inp in rule.received_inputs():
+            port_receives.setdefault(inp.port, []).append((inp.value, name))
+    plan.port_receives = {p: tuple(v) for p, v in port_receives.items()}
     # Static cost ordering: when the freeze-time analysis produced a cost
     # model, order ruled slots by descending op count (stable on the
     # rulemap order).  Sids, edge tuples, and receiver tables all inherit
     # the order, so within a wave the engine marks and collects expensive
     # rules first.  The engine's counters are order-invariant (per-edge
     # counting, evaluate-once).
-    facts = getattr(db.schema, "analysis_facts", None)
+    facts = getattr(schema, "analysis_facts", None)
     if facts is not None and rulemap:
         cost = facts.cost
         cls = instance.class_name
@@ -182,9 +257,9 @@ def build_slot_plan(db: Any, instance: Any) -> SlotPlan:
             names.append(name)
         return sid
 
-    # Ruled slots first (rulemap order mirrors the dependency-graph edge
-    # wiring), then declared attributes, then any attribute a rule reads
-    # that is not otherwise declared (synthetic constraint/subtype inputs).
+    # Ruled slots first, then declared attributes, then any attribute a
+    # rule reads that is not otherwise declared (synthetic constraint /
+    # subtype inputs).
     for name in rulemap:
         sid_of(name)
     for name in attrmap:
@@ -193,13 +268,12 @@ def build_slot_plan(db: Any, instance: Any) -> SlotPlan:
         for __, inp in rule.local_inputs():
             sid_of(inp.attr)
 
-    ports = _effective_ports(db, instance)
     for port_name, port_def in ports.items():
-        rel = db.schema.relationship_type(port_def.rel_type)
+        rel = schema.relationship_type(port_def.rel_type)
         for flow in rel.flows.values():
             default = flow.default
             if default is None:
-                default = db.schema.atoms.get(flow.atom).default
+                default = schema.atoms.get(flow.atom).default
             plan.flow_defaults[transmit_name(port_name, flow.value)] = default
 
     for name in names:
@@ -235,14 +309,11 @@ def build_slot_plan(db: Any, instance: Any) -> SlotPlan:
             if isinstance(inp, Local):
                 specs.append((_B_LOCAL, kw, inp.attr, None, False, None, None))
             elif isinstance(inp, Received):
-                port_def = ports.get(inp.port)
-                if port_def is None:
-                    port_def = db._port_def(instance, inp.port)
-                rel = db.schema.relationship_type(port_def.rel_type)
-                flow = rel.flow(inp.value)
+                port_def = ports[inp.port]
+                flow = schema.relationship_type(port_def.rel_type).flow(inp.value)
                 default = flow.default
                 if default is None:
-                    default = db.schema.atoms.get(flow.atom).default
+                    default = schema.atoms.get(flow.atom).default
                 specs.append(
                     (_B_RECEIVED, kw, inp.port, inp.value, port_def.multi, default, {})
                 )
@@ -252,8 +323,8 @@ def build_slot_plan(db: Any, instance: Any) -> SlotPlan:
                 raise TypeError(f"unknown input declaration {inp!r}")
         plan.binding_specs.append(tuple(specs))
 
-    # Local dependency edges and the receive table, deduplicated exactly
-    # the way the dict-of-sets dependency graph collapses repeats.
+    # Local dependency edges and the receive table: one edge per distinct
+    # input of a rule, however many keywords name it.
     local_deps: list[list[int]] = [[] for __ in names]
     receivers: dict[tuple[str, str], list[int]] = {}
     for target_name, rule in rulemap.items():
@@ -278,8 +349,7 @@ class SlotPlanCache:
     """Shape-keyed plan store with a per-instance memo in front.
 
     The memo must be invalidated whenever an instance's effective shape
-    changes (subtype membership flips -- routed here through
-    :meth:`Database.invalidate_rulemap` -- or deletion); schema extension
+    changes (a subtype membership flip, or deletion); schema extension
     clears both layers because every shape key embeds the schema version.
     """
 
@@ -295,7 +365,11 @@ class SlotPlanCache:
             instance = self._db._catalog.get(iid)
             if instance is None:
                 return None
-            key = self._db._effective_key(instance)
+            key = (
+                self._db.schema.version,
+                instance.class_name,
+                tuple(sorted(instance.active_subtypes)),
+            )
             plan = self._by_key.get(key)
             if plan is None:
                 plan = build_slot_plan(self._db, instance)
@@ -306,6 +380,9 @@ class SlotPlanCache:
 
     def instance_of(self, iid: int) -> Any:
         return self._db._catalog.get(iid)
+
+    def instance_ids(self) -> list[int]:
+        return list(self._db._catalog)
 
     @property
     def instances_cached(self) -> int:

@@ -29,13 +29,11 @@ the constraint / subtype callbacks from the engine.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.core.instance import Connection, Instance
 from repro.core.rules import (
     Constraint,
-    Local,
-    Received,
     Rule,
     constraint_name_of,
     is_constraint_attr,
@@ -44,12 +42,7 @@ from repro.core.rules import (
     subtype_name_of,
 )
 from repro.core.schema import AttributeDef, PortDef, Schema
-from repro.core.slots import (
-    Slot,
-    attr_slot,
-    transmit_name,
-    transmit_slot,
-)
+from repro.core.slots import Slot, attr_slot, transmit_slot
 from repro.core.subtypes import SubtypeManager
 from repro.errors import (
     ConnectionError_,
@@ -62,6 +55,7 @@ from repro.errors import (
     TransactionAborted,
     UnknownAttributeError,
     UnknownInstanceError,
+    UnknownRelationshipError,
 )
 from repro.evaluation.engine import IncrementalEngine
 from repro.evaluation.host import DepBinding
@@ -78,6 +72,9 @@ from repro.txn.log import (
     SetAttrRecord,
 )
 from repro.txn.transaction import TransactionManager
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.compile.slotplan import SlotPlan
 
 
 #: distinguishes "attribute absent" from a stored None.
@@ -128,15 +125,17 @@ class Database:
         self.storage = StorageManager(block_capacity, pool_capacity)
         self.storage.buffer.hub = self.obs.hub
         self.usage = self.storage.usage
-        from repro.graph.depgraph import DependencyGraph
-
-        self.depgraph = DependencyGraph()
-        # Flattened slot plans (repro.compile.slotplan): the engine's only
-        # traversal structure.  Must exist before the engine is built --
+        # Flattened slot plans (repro.compile.slotplan): the only place an
+        # instance shape's structure lives, and the engine's only traversal
+        # structure.  Must exist before the engine is built --
         # IncrementalEngine captures it at construction.
         from repro.compile.slotplan import SlotPlanCache
+        from repro.graph.depgraph import DependencyView
 
         self.slot_plans = SlotPlanCache(self)
+        #: the dependency graph: a stateless view of plans x connections
+        #: (connect-time cycle rejection, ``could_change``, the baselines).
+        self.depgraph = DependencyView(self.slot_plans)
         # ``engine_factory`` swaps in a baseline propagation strategy
         # (see :mod:`repro.baselines`); the default is the paper's engine.
         if engine_factory is None:
@@ -158,8 +157,6 @@ class Database:
 
         self.indexes = IndexManager(self)
         self._next_iid = 1
-        self._rulemaps: dict[tuple, dict[str, Rule]] = {}
-        self._attrmaps: dict[tuple, dict[str, AttributeDef]] = {}
         self._unchecked_constraints: set[Slot] = set()
         self._in_recovery: set[Slot] = set()
         self._primitive_depth = 0
@@ -409,56 +406,21 @@ class Database:
     # effective structure (class + active predicate subtypes)
     # ------------------------------------------------------------------
 
-    def _effective_key(self, instance: Instance) -> tuple:
-        return (
-            self.schema.version,
-            instance.class_name,
-            tuple(sorted(instance.active_subtypes)),
-        )
+    def _plan(self, iid: int) -> SlotPlan:
+        """The instance's slot plan: rules, attribute defs, port defs."""
+        plan = self.slot_plans.plan_of(iid)
+        if plan is None:
+            raise UnknownInstanceError(f"no instance with id {iid}")
+        return plan
 
-    def invalidate_rulemap(self, iid: int) -> None:
-        """Drop cached structure views after a membership flip.
-
-        The rulemap/attrmap caches are keyed by (class, active subtypes),
-        so flips simply select a different key; the slot-plan cache keeps a
-        per-instance memo in front of that key and must drop it here.
-        """
-        self.slot_plans.invalidate_instance(iid)
-
-    def _rulemap(self, instance: Instance) -> dict[str, Rule]:
-        key = self._effective_key(instance)
-        cached = self._rulemaps.get(key)
-        if cached is not None:
-            return cached
-        base = self.schema.resolved(instance.class_name)
-        rulemap = dict(base.rule_for)
-        for subtype in sorted(instance.active_subtypes):
-            for rule in self.subtypes.delta_rules(instance.class_name, subtype):
-                rulemap[_rule_slot_name(rule)] = rule
-        self._rulemaps[key] = rulemap
-        return rulemap
-
-    def _attrmap(self, instance: Instance) -> dict[str, AttributeDef]:
-        key = self._effective_key(instance)
-        cached = self._attrmaps.get(key)
-        if cached is not None:
-            return cached
-        base = self.schema.resolved(instance.class_name)
-        attrmap = dict(base.attributes)
-        for subtype in sorted(instance.active_subtypes):
-            attrmap.update(self.schema.resolved(subtype).attributes)
-        self._attrmaps[key] = attrmap
-        return attrmap
-
-    def _port_def(self, instance: Instance, port: str) -> PortDef:
-        base = self.schema.resolved(instance.class_name)
-        if port in base.ports:
-            return base.ports[port]
-        for subtype in sorted(instance.active_subtypes):
-            view = self.schema.resolved(subtype)
-            if port in view.ports:
-                return view.ports[port]
-        return base.port(port)  # raises UnknownRelationshipError
+    def _port_def(self, iid: int, port: str) -> PortDef:
+        plan = self._plan(iid)
+        try:
+            return plan.ports[port]
+        except KeyError:
+            raise UnknownRelationshipError(
+                f"class {plan.class_name!r} has no relationship port {port!r}"
+            ) from None
 
     def default_for_attr(self, attr: AttributeDef) -> Any:
         if attr.default is not None:
@@ -555,11 +517,8 @@ class Database:
         self._catalog[iid] = instance
         self.storage.place(iid, instance.record_size())
         self.storage.touch(iid, dirty=True)
-        for rule in self._rulemap(instance).values():
-            self.add_rule_edges(iid, rule)
-            name = _rule_slot_name(rule)
-            if is_constraint_attr(name):
-                self._unchecked_constraints.add((iid, name))
+        for name in self._plan(iid).constraints:
+            self._unchecked_constraints.add((iid, name))
         self.indexes.note_create(iid, instance)
 
     def delete(self, iid: int) -> None:
@@ -582,10 +541,9 @@ class Database:
             snapshot = instance.snapshot()
             # Preserve out-of-date marks: a restored instance must not serve
             # cached derived values that were stale at delete time.
+            stale = self.engine.out_of_date
             snapshot["out_of_date"] = [
-                name
-                for (slot_iid, name) in self.engine.out_of_date
-                if slot_iid == iid
+                name for name in self._plan(iid).names if (iid, name) in stale
             ]
             self.txn.log(DeleteRecord(snapshot=snapshot))
             self._do_delete(iid, peer_keys)
@@ -606,8 +564,8 @@ class Database:
         self, iid: int, peer_keys: list[tuple[int, str]] = ()
     ) -> None:
         instance = self.instance(iid)
-        for slot in self._all_slots(instance):
-            self.depgraph.remove_slot(slot)
+        for name in {*instance.attrs, *self._plan(iid).rule_for}:
+            slot = (iid, name)
             self.engine.forget_slot(slot)
             self._unchecked_constraints.discard(slot)
         self.storage.remove(iid)
@@ -616,18 +574,13 @@ class Database:
         self.indexes.note_delete(iid, instance)
         del self._catalog[iid]
 
-    def _all_slots(self, instance: Instance) -> list[Slot]:
-        names = set(instance.attrs)
-        names.update(self._rulemap(instance))
-        return [(instance.iid, name) for name in names]
-
     def connect(self, iid_a: int, port_a: str, iid_b: int, port_b: str) -> None:
         """Establish a relationship between two instances' ports."""
         with self._primitive():
             inst_a = self.instance(iid_a)
             inst_b = self.instance(iid_b)
-            def_a = self._port_def(inst_a, port_a)
-            def_b = self._port_def(inst_b, port_b)
+            def_a = self._port_def(iid_a, port_a)
+            def_b = self._port_def(iid_b, port_b)
             if def_a.rel_type != def_b.rel_type:
                 raise ConnectionError_(
                     f"port {port_a!r} ({def_a.rel_type}) cannot connect to "
@@ -680,7 +633,7 @@ class Database:
         inst_b.add_connection(port_b, Connection(iid_a, port_a), index_b)
         self.storage.resize(iid_a, inst_a.record_size())
         self.storage.resize(iid_b, inst_b.record_size())
-        edges = self._connection_edges(iid_a, port_a, iid_b, port_b, add=True)
+        edges = self._connection_edges(iid_a, port_a, iid_b, port_b)
         # "Cactis does not support data cycles": reject a connection that
         # closes one.  The check walks dependents from each new edge's head
         # looking back at its tail -- cheap when the downstream region is
@@ -723,7 +676,7 @@ class Database:
     ) -> tuple[int, int]:
         inst_a = self.instance(iid_a)
         inst_b = self.instance(iid_b)
-        edges = self._connection_edges(iid_a, port_a, iid_b, port_b, add=False)
+        edges = self._connection_edges(iid_a, port_a, iid_b, port_b)
         self.storage.touch(iid_a, dirty=True)
         self.storage.touch(iid_b, dirty=True)
         index_a = inst_a.remove_connection(port_a, Connection(iid_b, port_b))
@@ -735,29 +688,23 @@ class Database:
         return index_a, index_b
 
     def _connection_edges(
-        self, iid_a: int, port_a: str, iid_b: int, port_b: str, add: bool
+        self, iid_a: int, port_a: str, iid_b: int, port_b: str
     ) -> list[tuple[Slot, Slot]]:
-        """Add or remove the dependency edges induced by one connection.
+        """The ``(producer, consumer)`` dependency edges one connection induces.
 
-        Returns the ``(producer, consumer)`` edge pairs affected.
+        Each end consumes what the other sends: per received input on the
+        connected port, in rule-declaration order (the consumers seed the
+        connect / disconnect wave, and seed order is buffer-pool order).
         """
         edges: list[tuple[Slot, Slot]] = []
         for consumer, c_port, producer, p_port in (
             (iid_a, port_a, iid_b, port_b),
             (iid_b, port_b, iid_a, port_a),
         ):
-            instance = self.instance(consumer)
-            for rule in self._rulemap(instance).values():
-                target = (consumer, _rule_slot_name(rule))
-                for __, received in rule.received_inputs():
-                    if received.port != c_port:
-                        continue
-                    src = transmit_slot(producer, p_port, received.value)
-                    if add:
-                        self.depgraph.add_edge(src, target)
-                    else:
-                        self.depgraph.remove_edge(src, target)
-                    edges.append((src, target))
+            for value, name in self._plan(consumer).port_receives.get(c_port, ()):
+                edges.append(
+                    (transmit_slot(producer, p_port, value), (consumer, name))
+                )
         return edges
 
     def _find_dependent_path(self, start: Slot, goal: Slot) -> list[Slot] | None:
@@ -787,7 +734,7 @@ class Database:
         """Replace the value of an intrinsic attribute (a primitive update)."""
         with self._primitive():
             instance = self.instance(iid)
-            attr_def = self._attrmap(instance).get(attr)
+            attr_def = self._plan(iid).attributes.get(attr)
             if attr_def is None:
                 raise UnknownAttributeError(
                     f"class {instance.class_name!r} has no attribute {attr!r}"
@@ -819,7 +766,7 @@ class Database:
     def get_attr(self, iid: int, attr: str) -> Any:
         """Retrieve an attribute value, evaluating it if out of date."""
         instance = self.instance(iid)
-        if attr not in self._attrmap(instance) and not (
+        if attr not in self._plan(iid).attributes and not (
             is_constraint_attr(attr) or is_subtype_attr(attr)
         ):
             raise UnknownAttributeError(
@@ -829,8 +776,7 @@ class Database:
 
     def get_transmitted(self, iid: int, port: str, value: str) -> Any:
         """Retrieve a value the instance transmits across ``port``."""
-        instance = self.instance(iid)
-        self._port_def(instance, port)  # validates the port exists
+        self._port_def(iid, port)  # validates the instance and the port
         slot = transmit_slot(iid, port, value)
         if self.rule_for(slot) is None:
             return self._flow_default(iid, port, value)
@@ -1104,8 +1050,6 @@ class Database:
             yield self.schema
         finally:
             self.schema.freeze()
-            self._rulemaps.clear()
-            self._attrmaps.clear()
             self.slot_plans.clear()
             self._reconcile_after_extension()
             # The extension may add/drop index declarations, classes, or
@@ -1115,24 +1059,23 @@ class Database:
     def _reconcile_after_extension(self) -> None:
         """Wire new/changed rules into existing instances after an extension.
 
-        Newly added rules (including predicate-subtype membership rules for
-        a subtype added while instances exist) get their dependency edges
-        installed, new intrinsic attributes get defaults, and every rule
-        target is invalidated so redefined computations take effect.  The
-        important ones (constraints, subtype membership) evaluate
-        immediately, flipping membership of pre-existing instances.
+        New intrinsic attributes get defaults, and every rule target
+        (including predicate-subtype membership rules for a subtype added
+        while instances exist) is invalidated so new and redefined
+        computations take effect.  The important ones (constraints, subtype
+        membership) evaluate immediately, flipping membership of
+        pre-existing instances.
         """
         stale: list[Slot] = []
         for iid, instance in self._catalog.items():
-            for attr in self._attrmap(instance).values():
+            plan = self._plan(iid)
+            for attr in plan.attributes.values():
                 if attr.intrinsic and attr.name not in instance.attrs:
                     instance.attrs[attr.name] = self.default_for_attr(attr)
-            for rule in self._rulemap(instance).values():
-                self.add_rule_edges(iid, rule)
-                name = _rule_slot_name(rule)
-                if is_constraint_attr(name) and not self.has_slot_value((iid, name)):
+            for name in plan.constraints:
+                if name not in instance.attrs:
                     self._unchecked_constraints.add((iid, name))
-                stale.append((iid, name))
+            stale.extend((iid, name) for name in plan.rule_for)
         if stale:
             self.engine.invalidate_derived(stale)
 
@@ -1223,10 +1166,7 @@ class Database:
 
     def rule_for(self, slot: Slot) -> Rule | None:
         plan = self.slot_plans.plan_of(slot[0])
-        if plan is None:
-            return None
-        sid = plan.index.get(slot[1])
-        return plan.rules[sid] if sid is not None else None
+        return plan.rule_for.get(slot[1]) if plan is not None else None
 
     def resolved_inputs(self, slot: Slot) -> list[DepBinding]:
         """A derived slot's rule inputs resolved against live connections."""
@@ -1236,8 +1176,7 @@ class Database:
 
     def _flow_default(self, iid: int, port: str, value: str) -> Any:
         """The dummy-instance value for a dangling (or rule-less) flow."""
-        instance = self.instance(iid)
-        port_def = self._port_def(instance, port)
+        port_def = self._port_def(iid, port)
         rel = self.schema.relationship_type(port_def.rel_type)
         flow = rel.flow(value)
         if flow.default is not None:
@@ -1333,33 +1272,6 @@ class Database:
     def forget_unchecked_constraint(self, slot: Slot) -> None:
         self._unchecked_constraints.discard(slot)
 
-    # -- dependency-edge helpers (shared with SubtypeManager) ----------------
-
-    def add_rule_edges(self, iid: int, rule: Rule) -> None:
-        """Install the dependency edges a rule induces for one instance."""
-        instance = self.instance(iid)
-        target = (iid, _rule_slot_name(rule))
-        for __, inp in rule.inputs.items():
-            if isinstance(inp, Local):
-                self.depgraph.add_edge((iid, inp.attr), target)
-            elif isinstance(inp, Received):
-                for conn in instance.connections_on(inp.port):
-                    self.depgraph.add_edge(
-                        transmit_slot(conn.peer, conn.peer_port, inp.value), target
-                    )
-
-    def remove_rule_edges(self, iid: int, rule: Rule) -> None:
-        instance = self.instance(iid)
-        target = (iid, _rule_slot_name(rule))
-        for __, inp in rule.inputs.items():
-            if isinstance(inp, Local):
-                self.depgraph.remove_edge((iid, inp.attr), target)
-            elif isinstance(inp, Received):
-                for conn in instance.connections_on(inp.port):
-                    self.depgraph.remove_edge(
-                        transmit_slot(conn.peer, conn.peer_port, inp.value), target
-                    )
-
 
 class InstanceView:
     """A light ergonomic wrapper: ``view["attr"]`` reads, ``view.set`` writes."""
@@ -1392,11 +1304,3 @@ class InstanceView:
 
     def __repr__(self) -> str:
         return f"InstanceView(iid={self.iid}, class={self.class_name!r})"
-
-
-def _rule_slot_name(rule: Rule) -> str:
-    from repro.core.rules import AttributeTarget
-
-    if isinstance(rule.target, AttributeTarget):
-        return rule.target.attr
-    return transmit_name(rule.target.port, rule.target.value)

@@ -116,7 +116,7 @@ class Predicate:
                 kwargs[key] = view.get(decl.attr)
             elif isinstance(decl, Received):
                 instance = db.instance(view.iid)
-                port_def = db._port_def(instance, decl.port)
+                port_def = db._port_def(view.iid, decl.port)
                 values = [
                     db.get_transmitted(conn.peer, conn.peer_port, decl.value)
                     for conn in instance.connections_on(decl.port)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.core.slots import transmit_name
 from repro.errors import SchemaError
 
 
@@ -100,6 +101,9 @@ class Rule:
         at most once" sound).
     name:
         Optional diagnostic name; defaults to a rendering of the target.
+
+    ``slot_name`` (derived, not a constructor argument) is the name of the
+    slot the rule computes: the attribute name, or ``port>value``.
     """
 
     target: Target
@@ -119,6 +123,14 @@ class Rule:
             raise SchemaError("rule body must be callable")
         if not self.name:
             object.__setattr__(self, "name", _default_name(self.target))
+        target = self.target
+        object.__setattr__(
+            self,
+            "slot_name",
+            target.attr
+            if isinstance(target, AttributeTarget)
+            else transmit_name(target.port, target.value),
+        )
         # Both input views are consulted inside marking waves (edge wiring,
         # receive-port resolution), so they are computed once here rather
         # than rebuilt per call.

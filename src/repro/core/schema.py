@@ -529,10 +529,9 @@ class Schema:
     def _index_rules(self, resolved: ResolvedClass) -> dict[str, Rule]:
         index: dict[str, Rule] = {}
         for rule in resolved.rules:
-            key = _target_slot_name(rule.target)
             # Later rules override earlier ones: a subclass redefining a rule
             # replaces the inherited computation.
-            index[key] = rule
+            index[rule.slot_name] = rule
         return index
 
     def _validate_indexes(self) -> list[str]:
@@ -671,14 +670,6 @@ class Schema:
                         f"{inp.port!r}, but this end *sends* that value"
                     )
         return problems
-
-
-def _target_slot_name(target: AttributeTarget | TransmitTarget) -> str:
-    from repro.core.slots import transmit_name
-
-    if isinstance(target, AttributeTarget):
-        return target.attr
-    return transmit_name(target.port, target.value)
 
 
 def _is_synthetic_attr(name: str) -> bool:

@@ -12,14 +12,18 @@ detaches the subtype's *delta structure* -- the attributes, rules, and
 constraints the subtype adds beyond what the instance already has:
 
 * on **attach**: missing intrinsic attributes are initialised to their
-  defaults, dependency edges for the subtype's delta rules are installed,
-  new constraint slots join the unchecked set, and any slot whose rule the
-  subtype *overrides* is invalidated so it recomputes under the new rule;
-* on **detach**: the delta edges are removed and overridden slots are
+  defaults, new constraint slots join the unchecked set, and every slot the
+  subtype adds or *overrides* is invalidated so it computes under the new
+  rule;
+* on **detach**: the delta slots are forgotten and overridden slots are
   invalidated back to the supertype's rules.  Stored values of the
   subtype's intrinsic attributes persist in the record, so a re-attach
   finds them again (membership controls behaviour and visibility, not raw
   storage).
+
+Either way the flip itself is "change membership, drop the instance's plan
+memo": rules, dependency edges and attribute defs all follow from the slot
+plan of the new shape.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.rules import Rule, constraint_attr_name
-from repro.core.schema import ResolvedClass
-from repro.core.slots import Slot, attr_slot
+from repro.core.slots import attr_slot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
@@ -39,34 +42,17 @@ class SubtypeManager:
 
     def __init__(self, db: "Database") -> None:
         self.db = db
-        # (schema version, base class, subtype) -> delta rule list.
-        self._delta_cache: dict[tuple[int, str, str], list[Rule]] = {}
 
     # -- structure deltas -----------------------------------------------------
 
     def delta_rules(self, base_class: str, subtype: str) -> list[Rule]:
         """Rules the subtype adds or overrides relative to the base class."""
-        key = (self.db.schema.version, base_class, subtype)
-        cached = self._delta_cache.get(key)
-        if cached is not None:
-            return cached
         base = self.db.schema.resolved(base_class)
         sub = self.db.schema.resolved(subtype)
-        delta = [
+        return [
             rule
             for slot_name, rule in sub.rule_for.items()
             if base.rule_for.get(slot_name) is not rule
-        ]
-        self._delta_cache[key] = delta
-        return delta
-
-    def overridden_slot_names(self, base_class: str, subtype: str) -> list[str]:
-        """Slot names whose rule differs between base and subtype views."""
-        base = self.db.schema.resolved(base_class)
-        return [
-            _slot_name_of(rule)
-            for rule in self.delta_rules(base_class, subtype)
-            if _slot_name_of(rule) in base.rule_for
         ]
 
     # -- flips ------------------------------------------------------------
@@ -78,26 +64,14 @@ class SubtypeManager:
             return
         instance.active_subtypes.add(subtype)
         self.db.indexes.note_attach(iid, subtype)
-        self.db.invalidate_rulemap(iid)
+        self.db.slot_plans.invalidate_instance(iid)
         base_class = instance.class_name
-        sub_view: ResolvedClass = self.db.schema.resolved(subtype)
+        sub_view = self.db.schema.resolved(subtype)
         # Initialise intrinsic attributes the subtype adds (values persist
         # across detach/attach, so only missing ones are seeded).
         for attr in sub_view.attributes.values():
             if attr.intrinsic and attr.name not in instance.attrs:
                 instance.attrs[attr.name] = self.db.default_for_attr(attr)
-        # Install dependency edges for the delta rules.  Where the subtype
-        # overrides a base rule, the base edges come out first so the slot's
-        # dependencies reflect exactly one rule.
-        base = self.db.schema.resolved(base_class)
-        invalidate: list[Slot] = []
-        for rule in self.delta_rules(base_class, subtype):
-            slot_name = _slot_name_of(rule)
-            base_rule = base.rule_for.get(slot_name)
-            if base_rule is not None:
-                self.db.remove_rule_edges(iid, base_rule)
-            self.db.add_rule_edges(iid, rule)
-            invalidate.append((iid, slot_name))
         # New constraints must be checked before the transaction commits.
         base_constraints = {c.name for c in self.db.schema.resolved(base_class).constraints}
         for constraint in sub_view.constraints:
@@ -106,6 +80,10 @@ class SubtypeManager:
                     attr_slot(iid, constraint_attr_name(constraint.name))
                 )
         self.db.storage.resize(iid, instance.record_size())
+        # Slots the subtype adds or overrides compute under its rules.
+        invalidate = [
+            (iid, rule.slot_name) for rule in self.delta_rules(base_class, subtype)
+        ]
         if invalidate:
             self.db.engine.invalidate_derived(invalidate)
 
@@ -116,30 +94,16 @@ class SubtypeManager:
             return
         instance.active_subtypes.discard(subtype)
         self.db.indexes.note_detach(iid, subtype)
-        self.db.invalidate_rulemap(iid)
-        base_class = instance.class_name
-        overridden = self.overridden_slot_names(base_class, subtype)
-        for rule in self.delta_rules(base_class, subtype):
-            self.db.remove_rule_edges(iid, rule)
-            slot = (iid, _slot_name_of(rule))
+        self.db.slot_plans.invalidate_instance(iid)
+        base_rules = self.db.schema.resolved(instance.class_name).rule_for
+        # Slots the subtype had overridden fall back to the base rules and
+        # must recompute.
+        invalidate = []
+        for rule in self.delta_rules(instance.class_name, subtype):
+            slot = (iid, rule.slot_name)
             self.db.engine.forget_slot(slot)
             self.db.forget_unchecked_constraint(slot)
-        # Slots the subtype had overridden fall back to the base rules and
-        # must recompute; re-install the base edges first.
-        invalidate: list[Slot] = []
-        base = self.db.schema.resolved(base_class)
-        for slot_name in overridden:
-            base_rule = base.rule_for[slot_name]
-            self.db.add_rule_edges(iid, base_rule)
-            invalidate.append((iid, slot_name))
+            if rule.slot_name in base_rules:
+                invalidate.append(slot)
         if invalidate:
             self.db.engine.invalidate_derived(invalidate)
-
-
-def _slot_name_of(rule: Rule) -> str:
-    from repro.core.rules import AttributeTarget
-    from repro.core.slots import transmit_name
-
-    if isinstance(rule.target, AttributeTarget):
-        return rule.target.attr
-    return transmit_name(rule.target.port, rule.target.value)

@@ -324,12 +324,8 @@ class Federation:
             )
         consumer_db = self.site(consumer_site)
         producer_db = self.site(producer_site)
-        consumer_def = consumer_db._port_def(
-            consumer_db.instance(consumer_iid), consumer_port
-        )
-        producer_def = producer_db._port_def(
-            producer_db.instance(producer_iid), producer_port
-        )
+        consumer_def = consumer_db._port_def(consumer_iid, consumer_port)
+        producer_def = producer_db._port_def(producer_iid, producer_port)
         if consumer_def.rel_type != producer_def.rel_type:
             raise FederationError(
                 f"relationship types differ: {consumer_def.rel_type!r} vs "
@@ -476,8 +472,7 @@ class Federation:
             producer_db = self.site(producer_site)
             if not consumer_db.exists(mirror_iid):
                 continue  # mirror deleted locally; skip
-            mirror = consumer_db.instance(mirror_iid)
-            port_def = consumer_db._port_def(mirror, "remote")
+            port_def = consumer_db._port_def(mirror_iid, "remote")
             rel = consumer_db.schema.relationship_type(port_def.rel_type)
             for flow in rel.values_sent_by(port_def.end):
                 report.values_checked += 1
@@ -715,7 +710,7 @@ class Federation:
         """Turn a broken local connection into cross-links, one per
         direction that transmits values (or one for pure topology)."""
         db_a = self.site(site_a)
-        def_a = db_a._port_def(db_a.instance(iid_a), port_a)
+        def_a = db_a._port_def(iid_a, port_a)
         rel = db_a.schema.relationship_type(def_a.rel_type)
         end_a = def_a.end
         end_b = End.PLUG if end_a is End.SOCKET else End.SOCKET

@@ -47,7 +47,7 @@ class ControlFlowGraph:
         self.nodes[node_id] = CfgNode(node_id, kind, label, defines, uses)
         return node_id
 
-    def add_edge(self, src: int, dst: int) -> None:
+    def link(self, src: int, dst: int) -> None:
         if dst not in self.nodes[src].successors:
             self.nodes[src].successors.append(dst)
             self.nodes[dst].predecessors.append(src)
@@ -105,7 +105,7 @@ def build_cfg(program: ml.Program) -> ControlFlowGraph:
                     uses=frozenset(ml.variables_used(stmt.value)),
                 )
                 for p in frontier:
-                    cfg.add_edge(p, node)
+                    cfg.link(p, node)
                 frontier = [node]
             elif isinstance(stmt, ml.Print):
                 node = cfg._add(
@@ -114,7 +114,7 @@ def build_cfg(program: ml.Program) -> ControlFlowGraph:
                     uses=frozenset(ml.variables_used(stmt.value)),
                 )
                 for p in frontier:
-                    cfg.add_edge(p, node)
+                    cfg.link(p, node)
                 frontier = [node]
             elif isinstance(stmt, ml.If):
                 cond = cfg._add(
@@ -123,7 +123,7 @@ def build_cfg(program: ml.Program) -> ControlFlowGraph:
                     uses=frozenset(ml.variables_used(stmt.cond)),
                 )
                 for p in frontier:
-                    cfg.add_edge(p, cond)
+                    cfg.link(p, cond)
                 then_exit = wire(stmt.then_body, [cond])
                 if stmt.else_body:
                     else_exit = wire(stmt.else_body, [cond])
@@ -137,10 +137,10 @@ def build_cfg(program: ml.Program) -> ControlFlowGraph:
                     uses=frozenset(ml.variables_used(stmt.cond)),
                 )
                 for p in frontier:
-                    cfg.add_edge(p, cond)
+                    cfg.link(p, cond)
                 body_exit = wire(stmt.body, [cond])
                 for p in body_exit:
-                    cfg.add_edge(p, cond)  # the back edge
+                    cfg.link(p, cond)  # the back edge
                 frontier = [cond]
             else:  # pragma: no cover - exhaustive over MStmt
                 raise TypeError(f"unknown statement {stmt!r}")
@@ -148,5 +148,5 @@ def build_cfg(program: ml.Program) -> ControlFlowGraph:
 
     frontier = wire(program.body, [cfg.entry])
     for p in frontier:
-        cfg.add_edge(p, cfg.exit)
+        cfg.link(p, cfg.exit)
     return cfg

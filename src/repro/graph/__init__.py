@@ -1,16 +1,17 @@
 """Dependency-graph substrate for incremental attribute evaluation.
 
-* :mod:`repro.graph.depgraph` -- the slot-level dependency graph with the
+* :mod:`repro.graph.depgraph` -- the slot-level dependency graph, a
+  read-only view derived from slot plans and live connections, with the
   ``Could_Change`` reachability helper from the paper's complexity bound.
 * :mod:`repro.graph.cycles` -- cycle detection and topological ordering
   (Cactis forbids data cycles; the baselines need dependencies-first order).
 """
 
 from repro.graph.cycles import find_cycle, graph_has_cycle, topological_order
-from repro.graph.depgraph import DependencyGraph, could_change
+from repro.graph.depgraph import DependencyView, could_change
 
 __all__ = [
-    "DependencyGraph",
+    "DependencyView",
     "could_change",
     "find_cycle",
     "graph_has_cycle",

@@ -8,10 +8,9 @@ extract a witness path for the error message.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.slots import Slot
-from repro.graph.depgraph import DependencyGraph
 
 _WHITE, _GRAY, _BLACK = 0, 1, 2
 
@@ -64,8 +63,9 @@ def _extract_cycle(parent: dict[Slot, Slot], tail: Slot, head: Slot) -> list[Slo
     return path
 
 
-def graph_has_cycle(graph: DependencyGraph) -> list[Slot] | None:
-    """Check a whole dependency graph; returns a witness cycle or None."""
+def graph_has_cycle(graph: Any) -> list[Slot] | None:
+    """Check a whole dependency graph (anything with ``slots()`` and
+    ``dependencies(slot)``); returns a witness cycle or None."""
     return find_cycle(list(graph.slots()), graph.dependencies)
 
 

@@ -1,139 +1,76 @@
-"""The attribute dependency graph.
+"""The attribute dependency graph, as a view.
 
 "An attribute is *dependent* on another attribute if that attribute is
-mentioned in its attribute evaluation rule."  The dependency graph holds one
-directed edge per such mention, between *slots* (see
-:mod:`repro.core.slots`): an edge ``src -> dst`` means ``dst``'s rule reads
-``src``, so a change to ``src`` may put ``dst`` out of date.
+mentioned in its attribute evaluation rule."  One directed edge per such
+mention, between *slots* (see :mod:`repro.core.slots`): an edge
+``src -> dst`` means ``dst``'s rule reads ``src``, so a change to ``src``
+may put ``dst`` out of date.
 
-The graph is maintained incrementally by the database facade: rule-local
-edges appear when an instance is created (or gains a predicate subtype) and
-cross-instance edges appear and disappear as relationships are established
-and broken.
-
-Insertion-ordered ``dict``-as-set adjacency keeps every traversal
-deterministic regardless of ``PYTHONHASHSEED`` -- important because the
-benchmarks compare traversal orders.
+The edge set is a pure function of instance shapes and live connections,
+so it is not stored: :class:`DependencyView` reads it off the slot plans
+(:mod:`repro.compile.slotplan`) the engine itself traverses.  A value
+received across two connections that reach the same producer slot (two
+ports of one consumer wired to one producer port) is two mentions, hence
+two edges; ``dependents`` / ``dependencies`` then list the far slot twice.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.slots import Slot
 
-#: shared empty adjacency for slots with no edges (avoids per-call allocation).
-_EMPTY: dict[Slot, None] = {}
 
+class DependencyView:
+    """Read-only dependency graph over a database's slots.  Holds no edges."""
 
-class DependencyGraph:
-    """A directed graph over slots with O(1) edge add/remove."""
-
-    def __init__(self) -> None:
-        self._dependents: dict[Slot, dict[Slot, None]] = {}
-        self._dependencies: dict[Slot, dict[Slot, None]] = {}
-        self.edge_count = 0
-
-    # -- mutation ------------------------------------------------------------
-
-    def add_edge(self, src: Slot, dst: Slot) -> bool:
-        """Add ``src -> dst``; returns False when the edge already existed."""
-        outs = self._dependents.setdefault(src, {})
-        if dst in outs:
-            return False
-        outs[dst] = None
-        self._dependencies.setdefault(dst, {})[src] = None
-        self.edge_count += 1
-        return True
-
-    def remove_edge(self, src: Slot, dst: Slot) -> bool:
-        """Remove ``src -> dst``; returns False when the edge was absent."""
-        outs = self._dependents.get(src)
-        if outs is None or dst not in outs:
-            return False
-        del outs[dst]
-        if not outs:
-            del self._dependents[src]
-        ins = self._dependencies[dst]
-        del ins[src]
-        if not ins:
-            del self._dependencies[dst]
-        self.edge_count -= 1
-        return True
-
-    def remove_slot(self, slot: Slot) -> None:
-        """Remove every edge touching ``slot`` (instance deletion)."""
-        for dst in list(self._dependents.get(slot, ())):
-            self.remove_edge(slot, dst)
-        for src in list(self._dependencies.get(slot, ())):
-            self.remove_edge(src, slot)
-
-    # -- queries ------------------------------------------------------------
+    def __init__(self, plans: Any) -> None:
+        self._plans = plans
 
     def dependents(self, slot: Slot) -> list[Slot]:
-        """Slots whose rules read ``slot``, in edge-insertion order."""
-        return list(self._dependents.get(slot, ()))
+        """Slots whose rules read ``slot``, in the engine's fan-out order."""
+        plans = self._plans
+        plan = plans.plan_of(slot[0])
+        if plan is None:
+            return []
+        return plan.dependents(slot[0], slot[1], plans)
 
     def dependencies(self, slot: Slot) -> list[Slot]:
-        """Slots read by ``slot``'s rule, in edge-insertion order."""
-        return list(self._dependencies.get(slot, ()))
-
-    def iter_dependents(self, slot: Slot) -> Iterable[Slot]:
-        """Like :meth:`dependents` but without the list copy.
-
-        Safe only when the caller does not mutate the graph while
-        iterating -- true for the engine's marking fan-out, which is the
-        hot path this exists for.
-        """
-        return self._dependents.get(slot, _EMPTY)
-
-    def iter_dependencies(self, slot: Slot) -> Iterable[Slot]:
-        """Like :meth:`dependencies` but without the list copy."""
-        return self._dependencies.get(slot, _EMPTY)
-
-    def has_dependents(self, slot: Slot) -> bool:
-        return slot in self._dependents
-
-    def has_edge(self, src: Slot, dst: Slot) -> bool:
-        return dst in self._dependents.get(src, ())
+        """Slots read by ``slot``'s rule, in rule-input order."""
+        plans = self._plans
+        plan = plans.plan_of(slot[0])
+        if plan is None:
+            return []
+        return plan.dependencies(slot[0], slot[1], plans.instance_of(slot[0]))
 
     def slots(self) -> Iterator[Slot]:
         """Every slot that appears on at least one edge."""
+        plans = self._plans
         seen: dict[Slot, None] = {}
-        for slot in self._dependents:
-            seen[slot] = None
-        for slot in self._dependencies:
-            seen[slot] = None
+        for iid in plans.instance_ids():
+            for name in plans.plan_of(iid).rule_for:
+                sources = self.dependencies((iid, name))
+                if sources:
+                    seen.update(dict.fromkeys(sources))
+                    seen[(iid, name)] = None
         return iter(seen)
 
-    def out_degree(self, slot: Slot) -> int:
-        return len(self._dependents.get(slot, ()))
 
-    def in_degree(self, slot: Slot) -> int:
-        return len(self._dependencies.get(slot, ()))
-
-    def __len__(self) -> int:
-        """Number of edges."""
-        return self.edge_count
-
-    def __repr__(self) -> str:
-        return f"DependencyGraph(edges={self.edge_count})"
-
-
-def could_change(graph: DependencyGraph, seeds: Iterable[Slot]) -> tuple[set[Slot], int]:
+def could_change(graph: Any, seeds: Iterable[Slot]) -> tuple[set[Slot], int]:
     """The paper's ``Could_Change(A)`` set and its edge count.
 
     All slots reachable from the seed slots via dependency edges, together
     with the number of edges inside that region -- the quantities in the
     amortised overhead bound
-    ``O(Nodes(Could_Change(A)) + Edges(Could_Change(A)))``.
+    ``O(Nodes(Could_Change(A)) + Edges(Could_Change(A)))``.  ``graph`` is
+    anything with ``dependents(slot)``.
     """
     reached = set(seeds)
     edges = 0
     stack = list(reached)
     while stack:
         slot = stack.pop()
-        for dst in graph.iter_dependents(slot):
+        for dst in graph.dependents(slot):
             edges += 1
             if dst not in reached:
                 reached.add(dst)

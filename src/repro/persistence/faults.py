@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.rules import is_constraint_attr
 from repro.persistence.wal import wal_payload_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -142,15 +141,16 @@ def database_fingerprint(db: "Database") -> dict:
     derived values and out-of-date marks are deliberately excluded -- they
     are recomputable, and a recovered database recomputes them on demand.
     Evaluating the constraints below *is* such a demand, so the comparison
-    also proves the recovered dependency graph supports evaluation.
+    also proves the recovered connections support evaluation.
     """
     instances: dict[int, dict] = {}
     constraints: dict[str, bool] = {}
     for iid in db.instance_ids():
         inst = db.instance(iid)
+        plan = db.slot_plans.plan_of(iid)
         intrinsics = {
             attr.name: inst.attrs.get(attr.name)
-            for attr in db._attrmap(inst).values()
+            for attr in plan.attributes.values()
             if attr.intrinsic
         }
         instances[iid] = {
@@ -163,9 +163,8 @@ def database_fingerprint(db: "Database") -> dict:
                 if conns
             },
         }
-        for name in db._rulemap(inst):
-            if is_constraint_attr(name):
-                constraints[f"{iid}:{name}"] = bool(db.engine.demand((iid, name)))
+        for name in plan.constraints:
+            constraints[f"{iid}:{name}"] = bool(db.engine.demand((iid, name)))
     return {
         "instances": instances,
         "constraints": constraints,

@@ -246,9 +246,9 @@ def restore_database(image: dict, schema, **db_kwargs) -> "Database":
     db._next_iid = image["next_iid"]
     # Pass 2: connections.  Each instance's stored per-port lists are
     # installed verbatim (both ends carry their own view), preserving the
-    # observable connection order exactly; then the cross-instance
-    # dependency edges are derived from the rules.  No invalidation runs --
-    # the saved out-of-date marks (pass 3) are authoritative.
+    # observable connection order exactly; the dependency edges follow from
+    # them.  No invalidation runs -- the saved out-of-date marks (pass 3)
+    # are authoritative.
     for entry in image["instances"]:
         instance = db.instance(entry["iid"])
         instance.connections = {
@@ -256,10 +256,6 @@ def restore_database(image: dict, schema, **db_kwargs) -> "Database":
             for port, conns in entry["connections"].items()
         }
         db.storage.resize(entry["iid"], instance.record_size())
-    for entry in image["instances"]:
-        instance = db.instance(entry["iid"])
-        for rule in db._rulemap(instance).values():
-            db.add_rule_edges(entry["iid"], rule)
     # Pass 3: marks, layout, and history.
     restore = getattr(db.engine, "restore_mark", None)
     for iid, name in image["out_of_date"]:

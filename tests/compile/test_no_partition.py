@@ -84,11 +84,10 @@ def test_no_transmit_name_parsing_inside_a_wave():
 def test_parsing_still_allowed_at_build_time():
     """The watcher itself works: plan *construction* does parse names."""
     db = Database(compile_schema(SRC))
-    a = db.create("node", weight=1)
     watcher = _ParseWatcher()
     sys.setprofile(watcher)
     try:
-        db.engine.demand((a, "total"))  # first demand builds the plan
+        db.create("node", weight=1)  # a shape's first instance builds its plan
     finally:
         sys.setprofile(None)
     assert "split_transmit_name" in watcher.hits

@@ -10,7 +10,23 @@ from repro.errors import (
     UnknownAttributeError,
     UnknownInstanceError,
 )
-from repro.workloads import build_chain, link
+from repro.txn.log import DeleteRecord
+from repro.workloads import build_chain, link, sum_node_schema
+
+
+class _ProbeCountingSet(set):
+    """A set that counts membership tests and elements handed out by iteration."""
+
+    probes = 0
+
+    def __contains__(self, item):
+        self.probes += 1
+        return super().__contains__(item)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.probes += 1
+            yield item
 
 
 class TestCreate:
@@ -76,6 +92,41 @@ class TestDelete:
         assert len(db) == 3
         db.delete(ids[1])
         assert len(db) == 2
+
+    @staticmethod
+    def _delete_probes(unrelated_pairs: int) -> int:
+        """Engine out-of-date-set probes one delete makes, with
+        ``unrelated_pairs`` linked pairs elsewhere left stale."""
+        db = Database(sum_node_schema(), pool_capacity=64)
+        for __ in range(unrelated_pairs):
+            link(db, db.create("node", weight=1), db.create("node", weight=1))
+        up, victim = db.create("node", weight=1), db.create("node", weight=2)
+        link(db, up, victim)
+        assert len(db.engine.out_of_date) >= 2 * unrelated_pairs
+        counting = db.engine.out_of_date = _ProbeCountingSet(db.engine.out_of_date)
+        db.delete(victim)
+        return counting.probes
+
+    def test_delete_cost_independent_of_unrelated_stale_slots(self):
+        assert self._delete_probes(0) == self._delete_probes(50)
+
+    def test_undo_of_delete_restores_exactly_its_marks(self, db):
+        up, stale, clean = (db.create("node", weight=w) for w in (1, 2, 3))
+        link(db, up, stale)
+        assert db.get_attr(clean, "total") == 3
+        before = set(db.engine.out_of_date)
+        assert {(stale, "total"), (stale, "outputs>total")} <= before
+        assert not any(iid == clean for iid, __ in before)
+        for victim in (stale, clean):
+            db.delete(victim)
+            (record,) = (
+                r for r in db.txn.history[-1].records if isinstance(r, DeleteRecord)
+            )
+            assert sorted(record.snapshot["out_of_date"]) == sorted(
+                name for iid, name in before if iid == victim
+            )
+            db.undo()
+            assert db.engine.out_of_date == before
 
 
 class TestConnect:

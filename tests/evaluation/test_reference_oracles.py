@@ -23,7 +23,13 @@ from repro.core.database import Database
 from repro.core.instance import Connection
 from repro.dsl import compile_schema
 from repro.errors import ConstraintViolation, TransactionAborted
-from tests.references import MarkingOracle, full_recompute_db, interpreted, unfolded
+from tests.references import (
+    MarkingOracle,
+    full_recompute_db,
+    interpreted,
+    reference_depgraph,
+    unfolded,
+)
 
 SRC = """
 relationship dep is total : integer from plug; end;
@@ -173,3 +179,47 @@ def test_engine_matches_full_recompute_and_could_change(
             assert _state(db) == _state(reference), op
     assert _state(db) == _state(reference)
     assert oracle.checked > 0
+
+
+TWO_PORTS_SRC = """
+relationship feed is v : integer from plug; end;
+object class source is
+  relationships out : feed multi plug;
+  attributes weight : integer;
+  rules out v = weight;
+end;
+object class mixer is
+  relationships
+    left  : feed socket;
+    right : feed socket;
+  attributes total : integer;
+  rules total = left.v + right.v;
+end;
+"""
+
+
+def test_two_ports_wired_to_one_producer_port_are_two_edges():
+    """One edge per mention: ``left.v`` and ``right.v`` are two mentions
+    even when both ports reach the same producer slot.  The view, the
+    engine's fan-out and the test-side reference all count two."""
+    db = Database(compile_schema(TWO_PORTS_SRC))
+    oracle = MarkingOracle(db)
+    src = db.create("source", weight=3)
+    mix = db.create("mixer")
+    db.connect(mix, "left", src, "out")
+    db.connect(mix, "right", src, "out")
+    assert db.get_attr(mix, "total") == 6  # clean start
+
+    sent, total = (src, "out>v"), (mix, "total")
+    assert db.depgraph.dependents(sent) == [total, total]
+    assert db.depgraph.dependencies(total) == [sent, sent]
+    assert reference_depgraph(db).dependents(sent) == [total, total]
+
+    before = db.engine.counters.snapshot()
+    oracle.new_operation()
+    db.set_attr(src, "weight", 5)
+    delta = db.engine.counters.delta_since(before)
+    assert oracle.checked == 1
+    assert (delta.slots_marked, delta.mark_edge_visits) == (2, 3)
+    assert db.get_attr(mix, "total") == 10
+    assert db.engine.counters.delta_since(before).rule_evaluations == 2

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CycleError
 from repro.graph.cycles import find_cycle, graph_has_cycle, topological_order
-from repro.graph.depgraph import DependencyGraph
+from tests.references import DependencyGraph
 
 A, B, C, D, E = (1, "a"), (1, "b"), (2, "c"), (2, "d"), (3, "e")
 

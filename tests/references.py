@@ -7,9 +7,13 @@ the test side, instead of behind a switch in ``src/``:
 
 * **values** -- :func:`full_recompute_db`, a database whose engine
   re-evaluates every derived slot after every change;
+* **the dependency graph** -- :func:`reference_depgraph`, a stored
+  :class:`DependencyGraph` rebuilt from ``schema.resolved(...)`` rules x
+  live connections without touching a slot plan; ``Database.depgraph`` (a
+  view of the plans the engine traverses) must equal it;
 * **marking counters** -- :class:`MarkingOracle`, which holds the first
   wave of every operation to the paper's ``Could_Change`` bound computed
-  from the dependency graph the engine never reads;
+  on that reference graph;
 * **compiled bodies** -- :func:`interpreted`, which swaps every
   :class:`CompiledBody` back to the interpreter it wraps;
 * **folded predicates** -- :func:`unfolded`, which freezes schemas
@@ -18,13 +22,22 @@ the test side, instead of behind a switch in ``src/``:
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import nullcontext
+from typing import Iterable, Iterator
 from unittest import mock
 
 from repro.baselines.full_recompute import FullRecomputeEngine
 from repro.compile import CompiledBody
 from repro.core.database import Database
-from repro.core.rules import AttributeTarget, is_constraint_attr, is_subtype_attr
+from repro.core.rules import (
+    AttributeTarget,
+    Local,
+    Received,
+    is_constraint_attr,
+    is_subtype_attr,
+)
+from repro.core.slots import Slot, transmit_slot
 from repro.dsl.compiler import _booleanize
 from repro.graph.depgraph import could_change
 from repro.obs.events import SlotEvaluated, WaveEnd, WaveStart
@@ -109,13 +122,163 @@ def full_recompute_db(schema, **kwargs) -> Database:
     return Database(schema, engine_factory=_BatchedFullRecompute, **kwargs)
 
 
+#: shared empty adjacency for slots with no edges (avoids per-call allocation).
+_EMPTY: dict[Slot, int] = {}
+
+
+class DependencyGraph:
+    """A stored directed multigraph over slots with O(1) edge add/remove.
+
+    This was ``Database.depgraph`` until the database derived its graph
+    from slot plans; it lives on as the reference the view is checked
+    against.  An edge ``src -> dst`` means ``dst``'s rule reads ``src``;
+    an edge carries the number of *mentions* behind it (two ports of one
+    consumer wired to one producer port mention the producer's slot
+    twice), and ``dependents`` / ``dependencies`` repeat a slot once per
+    mention.  Insertion-ordered ``dict`` adjacency keeps every traversal
+    deterministic regardless of ``PYTHONHASHSEED``.
+    """
+
+    def __init__(self) -> None:
+        self._dependents: dict[Slot, dict[Slot, int]] = {}
+        self._dependencies: dict[Slot, dict[Slot, int]] = {}
+        self.edge_count = 0
+
+    # -- mutation ------------------------------------------------------------
+
+    def add_edge(self, src: Slot, dst: Slot, mentions: int = 1) -> bool:
+        """Add ``src -> dst``; returns False when the edge already existed."""
+        outs = self._dependents.setdefault(src, {})
+        if dst in outs:
+            return False
+        outs[dst] = mentions
+        self._dependencies.setdefault(dst, {})[src] = mentions
+        self.edge_count += 1
+        return True
+
+    def remove_edge(self, src: Slot, dst: Slot) -> bool:
+        """Remove ``src -> dst``; returns False when the edge was absent."""
+        outs = self._dependents.get(src)
+        if outs is None or dst not in outs:
+            return False
+        del outs[dst]
+        if not outs:
+            del self._dependents[src]
+        ins = self._dependencies[dst]
+        del ins[src]
+        if not ins:
+            del self._dependencies[dst]
+        self.edge_count -= 1
+        return True
+
+    def remove_slot(self, slot: Slot) -> None:
+        """Remove every edge touching ``slot`` (instance deletion)."""
+        for dst in list(self._dependents.get(slot, ())):
+            self.remove_edge(slot, dst)
+        for src in list(self._dependencies.get(slot, ())):
+            self.remove_edge(src, slot)
+
+    # -- queries ------------------------------------------------------------
+
+    def dependents(self, slot: Slot) -> list[Slot]:
+        """Slots whose rules read ``slot``, once per mention, in edge order."""
+        return [
+            dst
+            for dst, mentions in self._dependents.get(slot, _EMPTY).items()
+            for __ in range(mentions)
+        ]
+
+    def dependencies(self, slot: Slot) -> list[Slot]:
+        """Slots read by ``slot``'s rule, once per mention, in edge order."""
+        return [
+            src
+            for src, mentions in self._dependencies.get(slot, _EMPTY).items()
+            for __ in range(mentions)
+        ]
+
+    def iter_dependents(self, slot: Slot) -> Iterable[Slot]:
+        """The distinct dependents of ``slot`` as a live view (no copy)."""
+        return self._dependents.get(slot, _EMPTY)
+
+    def iter_dependencies(self, slot: Slot) -> Iterable[Slot]:
+        """The distinct dependencies of ``slot`` as a live view (no copy)."""
+        return self._dependencies.get(slot, _EMPTY)
+
+    def has_dependents(self, slot: Slot) -> bool:
+        return slot in self._dependents
+
+    def has_edge(self, src: Slot, dst: Slot) -> bool:
+        return dst in self._dependents.get(src, ())
+
+    def slots(self) -> Iterator[Slot]:
+        """Every slot that appears on at least one edge."""
+        seen: dict[Slot, None] = {}
+        for slot in self._dependents:
+            seen[slot] = None
+        for slot in self._dependencies:
+            seen[slot] = None
+        return iter(seen)
+
+    def out_degree(self, slot: Slot) -> int:
+        return len(self._dependents.get(slot, ()))
+
+    def in_degree(self, slot: Slot) -> int:
+        return len(self._dependencies.get(slot, ()))
+
+    def __len__(self) -> int:
+        """Number of distinct edges."""
+        return self.edge_count
+
+    def __repr__(self) -> str:
+        return f"DependencyGraph(edges={self.edge_count})"
+
+
+def reference_edges(db: Database) -> list[tuple[Slot, Slot]]:
+    """Every dependency edge of ``db``, one per mention, from first principles.
+
+    For each instance: the rules of its class, overlaid in sorted order by
+    what each active predicate subtype adds or overrides; for each distinct
+    input of each rule, a ``Local`` is one edge and a ``Received`` is one
+    edge per live connection on its port.  Reads the schema's resolved
+    classes and the connection table only -- never a slot plan.
+    """
+    schema = db.schema
+    edges: list[tuple[Slot, Slot]] = []
+    for iid in db.instance_ids():
+        instance = db.instance(iid)
+        base = schema.resolved(instance.class_name).rule_for
+        rules = dict(base)
+        for subtype in sorted(instance.active_subtypes):
+            for name, rule in schema.resolved(subtype).rule_for.items():
+                if base.get(name) is not rule:
+                    rules[name] = rule
+        for name, rule in rules.items():
+            for inp in dict.fromkeys(rule.inputs.values()):
+                if isinstance(inp, Local):
+                    edges.append(((iid, inp.attr), (iid, name)))
+                elif isinstance(inp, Received):
+                    for conn in instance.connections_on(inp.port):
+                        src = transmit_slot(conn.peer, conn.peer_port, inp.value)
+                        edges.append((src, (iid, name)))
+    return edges
+
+
+def reference_depgraph(db: Database) -> DependencyGraph:
+    """The stored graph ``Database.depgraph`` must be a view of."""
+    graph = DependencyGraph()
+    for (src, dst), mentions in Counter(reference_edges(db)).items():
+        graph.add_edge(src, dst, mentions)
+    return graph
+
+
 class MarkingOracle:
     """Hold the first wave of every operation to ``Could_Change``.
 
     Subscribes to the database's event hub.  Call :meth:`new_operation`
     before each primitive (or batch); when its first wave starts the
-    oracle computes ``could_change(db.depgraph, seeds)`` -- the engine
-    marks from slot plans and never reads that graph -- and, when no slot
+    oracle computes ``could_change(reference_depgraph(db), seeds)`` -- a
+    graph rebuilt without the slot plans the engine marks from -- and,
+    when no slot
     of the region is already marked (a *fresh* wave; marked slots cut the
     traversal short), asserts at the end of the marking phase that
 
@@ -155,7 +318,9 @@ class MarkingOracle:
             placed = self.db.storage.is_placed
             intrinsic = {s for s in event.intrinsic_seeds if placed(s[0])}
             derived = {s for s in event.derived_seeds if placed(s[0])}
-            region, edges = could_change(self.db.depgraph, intrinsic | derived)
+            region, edges = could_change(
+                reference_depgraph(self.db), intrinsic | derived
+            )
             region -= intrinsic  # the changed slots themselves are not marked
             if region.isdisjoint(self.db.engine.out_of_date):
                 self._expect = (
