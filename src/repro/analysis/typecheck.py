@@ -27,7 +27,7 @@ from repro.dsl.resolve import Attr, Const, Recv, Resolution, Var
 
 NUMERIC = {"integer", "real", "time"}
 
-#: builtin signature table: name -> (arg policy, result).
+#: builtin signature table: name -> (argument kind, result).
 #: "numeric" args must be numeric; result "join" is the numeric join of the
 #: arguments, "arg" echoes the (single) argument's type.
 _BUILTINS: dict[str, tuple[str, str]] = {
@@ -300,8 +300,8 @@ class _RuleChecker:
         signature = _BUILTINS.get(node.fn)
         if signature is None or node.fn not in self.model.functions:
             return "unknown"
-        policy, result = signature
-        if policy == "numeric":
+        arg_kind, result = signature
+        if arg_kind == "numeric":
             for arg, t in zip(node.args, arg_types):
                 if t not in NUMERIC | {"unknown", "any"}:
                     self.report(
@@ -310,7 +310,7 @@ class _RuleChecker:
                         f"not numeric",
                         arg,
                     )
-        elif policy == "sequence":
+        elif arg_kind == "sequence":
             for arg, t in zip(node.args, arg_types):
                 if t not in ("array", "string", "unknown", "any"):
                     self.report(

@@ -58,8 +58,6 @@ from repro.errors import (
     UnknownRelationshipError,
 )
 from repro.evaluation.engine import IncrementalEngine
-from repro.evaluation.host import DepBinding
-from repro.evaluation.scheduler import Policy
 from repro.storage.clustering import greedy_cluster, worst_case_estimates
 from repro.storage.manager import StorageManager
 from repro.storage.reorg import ReorgDriver, ReorgEpoch
@@ -103,20 +101,11 @@ class Database:
         schema: Schema,
         block_capacity: int = 4096,
         pool_capacity: int = 8,
-        policy: Policy = "greedy",
-        engine_factory: Callable[["Database"], Any] | None = None,
-        detect_cycles: bool = True,
-        eager: bool = False,
-        fast_path: bool = True,
-        auto_batch_transactions: bool = False,
+        engine_factory: Callable[["Database"], IncrementalEngine] | None = None,
     ) -> None:
         if not schema.frozen:
             schema.freeze()
         self.schema = schema
-        #: reject cycle-forming connects eagerly ("Cactis does not support
-        #: data cycles").  Disable only for benchmarks that measure raw
-        #: connect throughput; lazy detection at demand time still applies.
-        self.detect_cycles = detect_cycles
         # Observability root first: every substrate below references
         # ``self.obs.hub`` for its hook points.
         from repro.obs import Observability
@@ -134,20 +123,13 @@ class Database:
 
         self.slot_plans = SlotPlanCache(self)
         #: the dependency graph: a stateless view of plans x connections
-        #: (connect-time cycle rejection, ``could_change``, the baselines).
+        #: (connect-time cycle rejection, ``could_change``).
         self.depgraph = DependencyView(self.slot_plans)
-        # ``engine_factory`` swaps in a baseline propagation strategy
-        # (see :mod:`repro.baselines`); the default is the paper's engine.
-        if engine_factory is None:
-            self.engine = IncrementalEngine(
-                self, policy=policy, eager=eager, fast_path=fast_path
-            )
-        else:
-            self.engine = engine_factory(self)
+        # ``engine_factory`` is the seam through which a test substitutes a
+        # reference engine (an :class:`IncrementalEngine` subclass, see
+        # ``tests/references.py``); the default is the paper's engine.
+        self.engine = (engine_factory or IncrementalEngine)(self)
         self.txn = TransactionManager(self)
-        #: when True, explicit transactions default to batched propagation
-        #: (one coalesced wave at commit); see :meth:`batch`.
-        self.txn.auto_batch = auto_batch_transactions
         self.subtypes = SubtypeManager(self)
         self._catalog: dict[int, Instance] = {}
         # Secondary indexes + predicate-subtype extents (repro.index):
@@ -188,8 +170,8 @@ class Database:
     def _register_metrics(self) -> None:
         """Register one provider per substrate with the metrics registry.
 
-        Providers are late-binding closures over ``self``, so swapping a
-        baseline engine in or attaching persistence later is picked up.
+        Providers are late-binding closures over ``self``, so attaching
+        persistence later is picked up.
         The ``cc`` and ``wal`` sections default to zeros and are overridden
         by :class:`~repro.txn.manager.MultiUserScheduler` and
         :class:`~repro.persistence.manager.PersistenceManager` when those
@@ -205,19 +187,16 @@ class Database:
             data = {
                 f.name: getattr(counters, f.name) for f in dc_fields(EvalCounters)
             }
-            # Gauges; baseline engines may not carry them.
-            data["out_of_date"] = len(getattr(self.engine, "out_of_date", ()))
-            data["standing_demands"] = len(
-                getattr(self.engine, "standing_demands", ())
-            )
+            data["out_of_date"] = len(self.engine.out_of_date)
+            data["standing_demands"] = len(self.engine.standing_demands)
             return data
 
         def scheduler_metrics() -> dict:
-            sched = getattr(self.engine, "scheduler", None)
+            sched = self.engine.scheduler
             return {
-                "chunks_executed": getattr(sched, "executed", 0),
-                "fast_lane_executed": getattr(sched, "fast_executed", 0),
-                "background_executed": getattr(sched, "background_executed", 0),
+                "chunks_executed": sched.executed,
+                "fast_lane_executed": sched.fast_executed,
+                "background_executed": sched.background_executed,
             }
 
         def cc_metrics() -> dict:
@@ -639,11 +618,10 @@ class Database:
         # looking back at its tail -- cheap when the downstream region is
         # small (the common case while building a graph).  Raising here
         # unwinds the whole primitive via the undo log.
-        if self.detect_cycles:
-            for src, dst in edges:
-                path = self._find_dependent_path(dst, src)
-                if path is not None:
-                    raise CycleError(path + [dst])
+        for src, dst in edges:
+            path = self._find_dependent_path(dst, src)
+            if path is not None:
+                raise CycleError(path + [dst])
         # "When a relationship is established, the second half of the
         # attribute evaluation algorithm is invoked" -- marking the affected
         # consumers triggers evaluation of important ones.
@@ -800,13 +778,11 @@ class Database:
     # transactions / undo
     # ------------------------------------------------------------------
 
-    def begin(self, label: str = "", batch: bool | None = None) -> int:
+    def begin(self, label: str = "", batch: bool = False) -> int:
         """Open an explicit transaction.
 
         ``batch=True`` defers attribute propagation across the whole
-        transaction into one coalesced wave at commit (see :meth:`batch`);
-        ``None`` falls back to the database-wide ``auto_batch_transactions``
-        setting.
+        transaction into one coalesced wave at commit (see :meth:`batch`).
         """
         return self.txn.begin(label, batch=batch)
 
@@ -821,7 +797,7 @@ class Database:
         return self.txn.undo()
 
     @contextmanager
-    def transaction(self, label: str = "", batch: bool | None = None) -> Iterator[None]:
+    def transaction(self, label: str = "", batch: bool = False) -> Iterator[None]:
         """Run a block as one transaction; aborts on exception."""
         self.begin(label, batch=batch)
         try:
@@ -852,15 +828,10 @@ class Database:
         violation at close rolls the whole batch back, surfacing as
         :class:`TransactionAborted` just like an unbatched primitive.
 
-        Batches nest; only the outermost close runs the wave.  Baseline
-        engines without batch support run the block unchanged.
+        Batches nest; only the outermost close runs the wave.
         """
-        begin_batch = getattr(self.engine, "begin_batch", None)
-        if begin_batch is None:  # baseline engines propagate eagerly anyway
-            yield
-            return
         with self._primitive():
-            begin_batch()
+            self.engine.begin_batch()
             try:
                 yield
             except BaseException:
@@ -877,18 +848,7 @@ class Database:
 
     def audit_constraints(self) -> None:
         """Evaluate every unverified constraint; raises on violation."""
-        index = getattr(self.engine, "out_of_date_constraints", None)
-        if index is None:
-            # Baseline engines keep no constraint index; scan the full
-            # out-of-date set the classic way.
-            pending = {
-                slot
-                for slot in self.engine.out_of_date
-                if is_constraint_attr(slot[1])
-            }
-        else:
-            pending = set(index)
-        pending.update(self._unchecked_constraints)
+        pending = self.engine.out_of_date_constraints | self._unchecked_constraints
         if not pending:
             return
         for slot in sorted(pending):
@@ -932,12 +892,8 @@ class Database:
                 snap["attrs"],
                 active_subtypes=snap["active_subtypes"],
             )
-            restore = getattr(self.engine, "restore_mark", None)
             for name in snap.get("out_of_date", ()):
-                if restore is not None:
-                    restore((snap["iid"], name))
-                else:  # baseline engines: bare mark set only
-                    self.engine.out_of_date.add((snap["iid"], name))
+                self.engine.restore_mark((snap["iid"], name))
         elif isinstance(record, ConnectRecord):
             self._do_disconnect(
                 record.iid_a, record.port_a, record.iid_b, record.port_b
@@ -1167,12 +1123,6 @@ class Database:
     def rule_for(self, slot: Slot) -> Rule | None:
         plan = self.slot_plans.plan_of(slot[0])
         return plan.rule_for.get(slot[1]) if plan is not None else None
-
-    def resolved_inputs(self, slot: Slot) -> list[DepBinding]:
-        """A derived slot's rule inputs resolved against live connections."""
-        iid, name = slot
-        plan = self.slot_plans.plan_of(iid)
-        return plan.resolve_bindings(plan.index[name], iid, self._catalog[iid])
 
     def _flow_default(self, iid: int, port: str, value: str) -> Any:
         """The dummy-instance value for a dangling (or rule-less) flow."""

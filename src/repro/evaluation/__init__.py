@@ -1,8 +1,8 @@
 """Incremental attribute evaluation -- the paper's central contribution.
 
 * :mod:`repro.evaluation.engine` -- the two-phase mark/evaluate algorithm.
-* :mod:`repro.evaluation.scheduler` -- chunk scheduling with the greedy
-  I/O-aware policy (plus FIFO/LIFO comparison policies).
+* :mod:`repro.evaluation.scheduler` -- chunk scheduling in the paper's
+  greedy I/O-aware order.
 * :mod:`repro.evaluation.host` -- the protocol the database implements for
   the engine.
 * :mod:`repro.evaluation.counters` -- shared work counters.

@@ -1,10 +1,10 @@
-"""Work counters for the evaluation engine and the baselines.
+"""Work counters for the evaluation engine and its test-side references.
 
 The paper's claims (E1-E3 in DESIGN.md) are about *counts*: attributes
 marked, attributes evaluated, dependency edges visited.  Every propagation
-strategy in this reproduction -- the incremental engine and the trigger
-baselines alike -- reports through this one structure so benchmarks compare
-like with like.
+strategy -- the incremental engine and the trigger / full-recompute
+reference engines of ``tests/references.py`` alike -- reports through this
+one structure so comparisons are like with like.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ Unimportant slots simply stay marked until someone asks.
 
 Both phases are expressed as *chunks* run by the
 :class:`~repro.evaluation.scheduler.ChunkScheduler`, so traversal order is a
-scheduling decision: greedily I/O-aware under the paper's policy, FIFO/LIFO
-under the fixed-order comparison policies of experiment E4.  Evaluation
+scheduling decision: greedily I/O-aware, as in the paper (the fixed FIFO/LIFO
+orders of experiment E4 are a test-side reference scheduler).  Evaluation
 requests that cross a relationship record observed disk I/O into the
 relationship's decaying average; marking uses cluster-time worst-case
 estimates (the paper notes marking cannot observe a return trip).
@@ -31,10 +31,10 @@ Two engineered fast paths sit on top of the paper's algorithm; both
 preserve its observable semantics exactly:
 
 **Resident fast path.**  A unit of work whose instance's block is already
-in the buffer pool needs no I/O-aware ordering -- under the greedy policy
-it would sit in the very-high deque regardless.  Such work is enqueued as
-a bare ``(kind, slot, extra)`` tuple via the scheduler's fast lane instead
-of allocating a closure-carrying Chunk.  Fast entries occupy the same
+in the buffer pool needs no I/O-aware ordering -- it would sit in the
+very-high deque regardless.  Such work is enqueued as a bare
+``(kind, slot, extra)`` tuple via the scheduler's fast lane instead of
+allocating a closure-carrying Chunk.  Fast entries occupy the same
 queue positions a resident Chunk would, so the execution order -- and with
 it every buffer touch and disk read (the E4/E5 quantities) -- is
 bit-identical; only the allocation and dispatch overhead disappears.  The
@@ -69,7 +69,7 @@ from repro.core.slots import Slot
 from repro.errors import CycleError, RuleEvaluationError
 from repro.evaluation.counters import EvalCounters
 from repro.evaluation.host import DepBinding, EvaluationHost
-from repro.evaluation.scheduler import Chunk, ChunkScheduler, FastEntry, Policy
+from repro.evaluation.scheduler import Chunk, ChunkScheduler, FastEntry
 from repro.obs.events import (
     ChunkRun,
     FastLaneHit,
@@ -102,25 +102,8 @@ class _Pending:
 class IncrementalEngine:
     """Two-phase incremental evaluator over a chunk scheduler."""
 
-    def __init__(
-        self,
-        host: EvaluationHost,
-        policy: Policy = "greedy",
-        eager: bool = False,
-        fast_path: bool = True,
-    ) -> None:
+    def __init__(self, host: EvaluationHost) -> None:
         self.host = host
-        self.policy = policy
-        #: ablation switch: evaluate *everything* marked at the end of each
-        #: wave instead of deferring unimportant slots (the design choice
-        #: the paper's laziness claim is about; see bench_ablations).
-        self.eager = eager
-        #: engineering switch: route resident work through the allocation-free
-        #: fast lane.  Off reproduces the original everything-is-a-Chunk
-        #: waves (the bench_batch baseline).  Only the greedy policy has a
-        #: residency-ordered queue to merge into, so the fast lane engages
-        #: under greedy only; fifo/lifo keep their fixed traversal orders.
-        self.fast_path = fast_path
         self.counters = EvalCounters()
         #: observability root of the host database (None for bare synthetic
         #: hosts); carries the event hub and the wave/chunk latency timers.
@@ -136,7 +119,6 @@ class IncrementalEngine:
         self.scheduler = ChunkScheduler(
             is_resident=host.storage.is_resident,
             block_of=host.storage.block_of,
-            policy=policy,
             fast_runner=self._run_fast,
         )
         # Wire buffer-pool loads to chunk promotion ("very high priority
@@ -324,8 +306,6 @@ class IncrementalEngine:
         self._important_found = []
         if important:
             self.evaluate_slots(important)
-        if self.eager and self.out_of_date:
-            self.evaluate_all_out_of_date()
 
     def _schedule_dependent_marks(self, slot: Slot) -> None:
         # A slot without a plan (instance deleted mid-wave) or without a
@@ -379,11 +359,7 @@ class IncrementalEngine:
 
     def _fast_ok(self, iid: int) -> bool:
         """True when work on ``iid`` may ride the allocation-free fast lane."""
-        return (
-            self.fast_path
-            and self.policy == "greedy"
-            and self.host.storage.is_resident(iid)
-        )
+        return self.host.storage.is_resident(iid)
 
     def _schedule_mark(self, slot: Slot, crossing_port: str | None) -> None:
         if slot in self.out_of_date:

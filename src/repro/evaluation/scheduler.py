@@ -8,13 +8,13 @@ OWL technique).  Order is chosen to minimise disk access:
   already in the buffer pool -- "whenever a disk block is read into memory,
   all processes which are associated with some instance stored on that block
   are promoted to a special very high priority queue";
-* otherwise chunks wait in a policy queue ordered by **expected disk I/O**
-  (decaying averages / worst-case estimates) under the paper's greedy
-  policy.
+* otherwise chunks wait in a heap ordered by **expected disk I/O**
+  (decaying averages / worst-case estimates) -- the paper's greedy order.
 
-The policy is pluggable so experiment E4 can compare the paper's greedy
-order against fixed FIFO (breadth-first) and LIFO (depth-first) traversal
-orders: all policies compute identical values, only the I/O differs.
+The fixed FIFO (breadth-first) and LIFO (depth-first) traversal orders
+experiment E4 compares it against are a test-side reference
+(``tests/references.py::FixedOrderScheduler``): every order computes
+identical values, only the I/O differs.
 
 **Fast lane.**  Work whose block is already resident never needs the
 priority machinery: the engine may enqueue it as a plain tuple via
@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Literal
-
-Policy = Literal["greedy", "fifo", "lifo"]
+from typing import Callable
 
 #: engine work carried through the fast lane: ``(kind, slot, extra)``.
 FastEntry = tuple
@@ -43,9 +41,9 @@ class Chunk:
     ``run`` performs the work (and may schedule further chunks); ``iid`` is
     the instance whose block the chunk needs, used for residency checks and
     high-priority promotion; ``priority`` is the expected disk I/O estimate
-    under the greedy policy (lower runs earlier).  ``user_request`` marks
-    "processes which are the direct user requests that start a chain of
-    computations", which receive a special (best) priority class.
+    (lower runs earlier).  ``user_request`` marks "processes which are the
+    direct user requests that start a chain of computations", which
+    receive a special (best) priority class.
     """
 
     __slots__ = ("run", "iid", "priority", "user_request", "cancelled", "block_id")
@@ -75,20 +73,14 @@ class ChunkScheduler:
         self,
         is_resident: Callable[[int], bool],
         block_of: Callable[[int], int],
-        policy: Policy = "greedy",
         fast_runner: Callable[[FastEntry], None] | None = None,
     ) -> None:
-        if policy not in ("greedy", "fifo", "lifo"):
-            raise ValueError(f"unknown scheduling policy {policy!r}")
-        self.policy = policy
         self._is_resident = is_resident
         self._block_of = block_of
         #: executes fast-lane entries; installed by the engine.
         self.fast_runner = fast_runner
         self._high: deque[Chunk | FastEntry] = deque()
         self._heap: list[tuple[int, float, int, Chunk]] = []
-        self._fifo: deque[Chunk] = deque()
-        self._lifo: list[Chunk] = []
         self._by_block: dict[int, list[Chunk]] = {}
         self._seq = 0
         self.executed = 0
@@ -104,33 +96,22 @@ class ChunkScheduler:
     # -- scheduling ------------------------------------------------------------
 
     def schedule(self, chunk: Chunk) -> None:
-        """Queue a chunk, routing residency-satisfied work to the high queue.
-
-        The in-memory high-priority queue and block promotion belong to the
-        paper's greedy technique; the fifo/lifo policies model the naive
-        fixed traversal orders of Section 2.3 and deliberately do not
-        reorder on residency.
-        """
-        if self.policy == "greedy":
-            if self._is_resident(chunk.iid):
-                self._high.append(chunk)
-                return
-            self._index_by_block(chunk)
-            self._seq += 1
-            # User requests occupy a strictly better priority class.
-            klass = 0 if chunk.user_request else 1
-            heapq.heappush(self._heap, (klass, chunk.priority, self._seq, chunk))
-        elif self.policy == "fifo":
-            self._fifo.append(chunk)
-        else:
-            self._lifo.append(chunk)
+        """Queue a chunk, routing residency-satisfied work to the high queue."""
+        if self._is_resident(chunk.iid):
+            self._high.append(chunk)
+            return
+        self._index_by_block(chunk)
+        self._seq += 1
+        # User requests occupy a strictly better priority class.
+        klass = 0 if chunk.user_request else 1
+        heapq.heappush(self._heap, (klass, chunk.priority, self._seq, chunk))
 
     def schedule_fast(self, entry: FastEntry) -> None:
         """Queue resident work as a bare tuple in the very-high deque.
 
-        The caller guarantees the entry's instance is resident (greedy
-        policy only); the entry occupies the same FIFO position a resident
-        Chunk would, so traversal order is unchanged.
+        The caller guarantees the entry's instance is resident; the entry
+        occupies the same FIFO position a resident Chunk would, so
+        traversal order is unchanged.
         """
         self._high.append(entry)
 
@@ -138,7 +119,7 @@ class ChunkScheduler:
         try:
             block_id = self._block_of(chunk.iid)
         except Exception:
-            return  # unplaced instance: never promoted, still runs from policy queue
+            return  # unplaced instance: never promoted, still runs from the heap
         self._by_block.setdefault(block_id, []).append(chunk)
         chunk.block_id = block_id
 
@@ -160,8 +141,6 @@ class ChunkScheduler:
 
     def on_block_loaded(self, block_id: int) -> None:
         """Buffer-pool callback: promote chunks waiting on this block."""
-        if self.policy != "greedy":
-            return
         waiting = self._by_block.pop(block_id, None)
         if not waiting:
             return
@@ -180,11 +159,11 @@ class ChunkScheduler:
         eviction between scheduling and execution silently invalidates
         that, leaving work to run against a non-resident block and pay an
         unaccounted re-read ahead of cheaper candidates.  Demotion
-        re-indexes the work into the policy queue (where its expected I/O
+        re-indexes the work into the heap (where its expected I/O
         is priced) and the block index, so a later reload promotes it
         again exactly like any other waiting chunk.
         """
-        if self.policy != "greedy" or not self._high:
+        if not self._high:
             return
         kept: deque[Chunk | FastEntry] = deque()
         for entry in self._high:
@@ -223,22 +202,14 @@ class ChunkScheduler:
             if not entry.cancelled:
                 entry.cancelled = True  # consumed: immune to promotion
                 return entry
-        if self.policy == "greedy":
-            while self._heap:
-                __, __, __, chunk = heapq.heappop(self._heap)
-                if not chunk.cancelled:
-                    # Consume: a chunk that loads its own block must not be
-                    # promoted into a duplicate execution (see the regression
-                    # test in tests/evaluation/test_scheduler.py).
-                    chunk.cancelled = True
-                    self._unindex(chunk)
-                    return chunk
-            return None
-        queue = self._fifo if self.policy == "fifo" else self._lifo
-        while queue:
-            chunk = queue.popleft() if self.policy == "fifo" else queue.pop()
+        while self._heap:
+            __, __, __, chunk = heapq.heappop(self._heap)
             if not chunk.cancelled:
+                # Consume: a chunk that loads its own block must not be
+                # promoted into a duplicate execution (see the regression
+                # test in tests/evaluation/test_scheduler.py).
                 chunk.cancelled = True
+                self._unindex(chunk)
                 return chunk
         return None
 
@@ -305,12 +276,10 @@ class ChunkScheduler:
 
     @property
     def idle(self) -> bool:
-        return not (self._high or self._heap or self._fifo or self._lifo)
+        return not (self._high or self._heap)
 
     def clear(self) -> None:
         """Drop all queued chunks (a wave was abandoned mid-flight)."""
         self._high.clear()
         self._heap.clear()
-        self._fifo.clear()
-        self._lifo.clear()
         self._by_block.clear()

@@ -3,11 +3,11 @@
 * :mod:`repro.graph.depgraph` -- the slot-level dependency graph, a
   read-only view derived from slot plans and live connections, with the
   ``Could_Change`` reachability helper from the paper's complexity bound.
-* :mod:`repro.graph.cycles` -- cycle detection and topological ordering
-  (Cactis forbids data cycles; the baselines need dependencies-first order).
+* :mod:`repro.graph.cycles` -- cycle detection (Cactis forbids data
+  cycles).
 """
 
-from repro.graph.cycles import find_cycle, graph_has_cycle, topological_order
+from repro.graph.cycles import find_cycle, graph_has_cycle
 from repro.graph.depgraph import DependencyView, could_change
 
 __all__ = [
@@ -15,5 +15,4 @@ __all__ = [
     "could_change",
     "find_cycle",
     "graph_has_cycle",
-    "topological_order",
 ]

@@ -67,41 +67,3 @@ def graph_has_cycle(graph: Any) -> list[Slot] | None:
     """Check a whole dependency graph (anything with ``slots()`` and
     ``dependencies(slot)``); returns a witness cycle or None."""
     return find_cycle(list(graph.slots()), graph.dependencies)
-
-
-def topological_order(
-    seeds: Iterable[Slot],
-    dependencies: Callable[[Slot], Sequence[Slot]],
-) -> list[Slot]:
-    """Dependencies-first ordering of everything reachable from ``seeds``.
-
-    Used by the full-recompute baseline.  Raises
-    :class:`repro.errors.CycleError` when the region is cyclic.
-    """
-    from repro.errors import CycleError
-
-    order: list[Slot] = []
-    colour: dict[Slot, int] = {}
-    for seed in seeds:
-        if colour.get(seed, _WHITE) != _WHITE:
-            continue
-        stack: list[tuple[Slot, list[Slot], int]] = [
-            (seed, list(dependencies(seed)), 0)
-        ]
-        colour[seed] = _GRAY
-        while stack:
-            slot, deps, index = stack.pop()
-            if index < len(deps):
-                stack.append((slot, deps, index + 1))
-                nxt = deps[index]
-                state = colour.get(nxt, _WHITE)
-                if state == _GRAY:
-                    cycle = find_cycle([seed], dependencies)
-                    raise CycleError(cycle if cycle else [nxt, slot])
-                if state == _WHITE:
-                    colour[nxt] = _GRAY
-                    stack.append((nxt, list(dependencies(nxt)), 0))
-            else:
-                colour[slot] = _BLACK
-                order.append(slot)
-    return order

@@ -446,7 +446,7 @@ class IndexManager:
         covered = index.covered
         stale = [
             iid
-            for (iid, name) in list(getattr(db.engine, "out_of_date", ()))
+            for (iid, name) in list(db.engine.out_of_date)
             if name == attr
             and (inst := catalog.get(iid)) is not None
             and inst.class_name in covered
@@ -474,7 +474,7 @@ class IndexManager:
         cone = extent.cone
         stale = [
             iid
-            for (iid, name) in list(getattr(db.engine, "out_of_date", ()))
+            for (iid, name) in list(db.engine.out_of_date)
             if name == slot_name
             and (inst := catalog.get(iid)) is not None
             and inst.class_name in cone

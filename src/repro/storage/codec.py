@@ -257,12 +257,8 @@ def restore_database(image: dict, schema, **db_kwargs) -> "Database":
         }
         db.storage.resize(entry["iid"], instance.record_size())
     # Pass 3: marks, layout, and history.
-    restore = getattr(db.engine, "restore_mark", None)
     for iid, name in image["out_of_date"]:
-        if restore is not None:
-            restore((iid, name))
-        else:  # baseline engines: bare mark set only
-            db.engine.out_of_date.add((iid, name))
+        db.engine.restore_mark((iid, name))
     sizes = {iid: db.instance(iid).record_size() for iid in db.instance_ids()}
     layout = [blocks[block_id] for block_id in sorted(blocks)]
     if layout:

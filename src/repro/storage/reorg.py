@@ -140,9 +140,9 @@ class ReorgDriver:
         if not plan:
             self._finish(completed=True)
             return epoch
-        scheduler = getattr(db.engine, "scheduler", None)
-        if scheduler is not None:
-            scheduler.set_background(self._background_step, budget=steps_per_drain)
+        db.engine.scheduler.set_background(
+            self._background_step, budget=steps_per_drain
+        )
         return epoch
 
     def step(self) -> bool:
@@ -221,9 +221,7 @@ class ReorgDriver:
         epoch = self.epoch
         assert epoch is not None
         self.epoch = None
-        scheduler = getattr(db.engine, "scheduler", None)
-        if scheduler is not None:
-            scheduler.clear_background()
+        db.engine.scheduler.clear_background()
         if completed:
             epoch.completed = True
             self.stats.epochs_completed += 1

@@ -67,9 +67,6 @@ class TransactionManager:
         #: observability root of the owning database (guarded: tests build
         #: managers over bare stand-in hosts).
         self._obs = getattr(db, "obs", None)
-        #: default for ``begin(batch=None)``: batch propagation across every
-        #: explicit transaction (set via ``Database(auto_batch_transactions=)``).
-        self.auto_batch = False
         #: True while the active explicit transaction holds an open engine
         #: batch (closed at commit, abandoned at abort).
         self._engine_batched = False
@@ -150,27 +147,23 @@ class TransactionManager:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def begin(self, label: str = "", batch: bool | None = None) -> int:
+    def begin(self, label: str = "", batch: bool = False) -> int:
         """Open an explicit transaction; nesting is not supported.
 
-        With ``batch=True`` (or ``batch=None`` while :attr:`auto_batch` is
-        set), the transaction opens an engine batch: primitive updates
-        defer their propagation into one coalesced wave that runs at
-        commit, just before the constraint audit.  Reads inside the
-        transaction flush the deferred marking, so values stay exact.
+        With ``batch=True`` the transaction opens an engine batch:
+        primitive updates defer their propagation into one coalesced wave
+        that runs at commit, just before the constraint audit.  Reads
+        inside the transaction flush the deferred marking, so values stay
+        exact.
         """
         if self._active is not None:
             raise TransactionError("a transaction is already active")
         self._active = Delta(txn_id=self._next_txn_id, label=label)
         self._next_txn_id += 1
         self._set_txn_context(self._active.txn_id)
-        if batch is None:
-            batch = self.auto_batch
         if batch:
-            begin_batch = getattr(self.db.engine, "begin_batch", None)
-            if begin_batch is not None:
-                begin_batch()
-                self._engine_batched = True
+            self.db.engine.begin_batch()
+            self._engine_batched = True
         return self._active.txn_id
 
     def _close_engine_batch(self) -> None:
@@ -234,9 +227,7 @@ class TransactionManager:
             # Flush deferred marks (conservative, never wrong), skip the
             # wave tail: the state they describe is about to be rolled back.
             self._engine_batched = False
-            abandon = getattr(self.db.engine, "abandon_batch", None)
-            if abandon is not None:
-                abandon()
+            self.db.engine.abandon_batch()
         delta = self._active
         self._active = None
         self._autocommit_pending = False

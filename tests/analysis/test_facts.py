@@ -136,6 +136,52 @@ def test_analyzer_failure_never_blocks_a_freeze(monkeypatch):
     assert schema.compile_stats["constraints_folded"] == 0
 
 
+def test_wide_generated_schema_proves_every_constraint_and_reports_no_error():
+    """Sixty relationship-linked classes, each with a constraint the
+    interval analysis can prove from a constant rule."""
+    from repro.analysis import analyze_source
+
+    classes = 60
+    parts = [
+        "relationship link is\n    score : integer from plug;\nend relationship;\n"
+    ]
+    for n in range(classes):
+        parts.append(
+            f"""
+object class stage{n} is
+  relationships
+    feed : link multi socket;
+    emit : link plug;
+  attributes
+    base   : integer;
+    bound  : integer;
+    rating : integer;
+  rules
+    bound = {n} + 1;
+    rating = begin
+        acc : integer;
+        acc := base;
+        for each w related to feed do
+            acc := acc + w.score;
+        end for;
+        if acc > bound then
+            return acc;
+        end if;
+        return bound;
+    end;
+    emit score = bound;
+  constraints
+    bound_ok : bound >= 1 and bound <= {n} + 1;
+end object;
+"""
+        )
+    source = "".join(parts)
+    facts = facts_from_model(model_from_decl(parse(source)))
+    assert len(facts.always_true) == classes
+    assert not facts.always_false
+    assert not [d for d in analyze_source(source) if d.is_error]
+
+
 def test_compute_facts_runs_against_a_compiled_schema():
     schema = compile_schema(SOURCE)
     facts = compute_facts(schema)

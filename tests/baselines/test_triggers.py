@@ -1,14 +1,14 @@
-"""Baseline engines: correctness equivalence and the E1 work blow-up."""
+"""Reference engines: correctness equivalence and the E1 work blow-up."""
 
 import pytest
 
-from repro.baselines import (
+from repro.core.database import Database
+from tests.references import (
     TriggerBudgetExceeded,
     breadth_first_factory,
     depth_first_factory,
     full_recompute_factory,
 )
-from repro.core.database import Database
 from repro.workloads import (
     build_chain,
     build_diamond_ladder,
@@ -107,6 +107,22 @@ class TestWorkBlowUp:
             db.set_attr(nodes[0], "weight", 3)
             evals[extra] = db.engine.counters.delta_since(before).rule_evaluations
         assert evals[200] > evals[0]
+
+    def test_random_dag_orders_the_three_engines(self):
+        """E1 on an irregular graph: 120 nodes, p = 0.25, update at a root."""
+        evals, values = {}, set()
+        for kind in (None, "full", "dfs"):
+            db = make_db(kind)
+            nodes = build_random_dag(db, 120, edge_prob=0.25, seed=11)
+            db.get_attr(nodes[-1], "total")
+            before = db.engine.counters.snapshot()
+            db.set_attr(nodes[0], "weight", 999)
+            values.add(db.get_attr(nodes[-1], "total"))
+            evals[kind] = db.engine.counters.delta_since(before).rule_evaluations
+        assert len(values) == 1
+        # At most once per derived slot; everything once; once per path.
+        assert evals[None] < evals["full"] == 2 * 120
+        assert evals["dfs"] > 100 * evals["full"]
 
     def test_budget_enforced(self):
         db = make_db()  # build with incremental first, then swap? no:

@@ -45,7 +45,7 @@ def test_compile_namespace_fully_documented():
 
 
 def test_cited_test_and_bench_files_exist():
-    assert_cited_files_exist(DOC.name)
+    assert assert_cited_files_exist(DOC), f"{DOC.name} cites no test files"
 
 
 def test_tutorial_example_runs():

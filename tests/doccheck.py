@@ -3,8 +3,9 @@
 Reference docs (OBSERVABILITY, SERVER, DISTRIBUTED, DIAGNOSTICS, QUERY)
 list a registry exhaustively: :func:`assert_documents_exactly`.  Narrative
 docs (STORAGE, COMPILER) cite names in prose: every cited name must be
-live, the namespace the doc owns must be covered, and every cited test or
-benchmark file must exist.
+live and the namespace the doc owns must be covered.  Every prose document
+(:func:`prose_docs`) that cites a test, harness or example file, or a
+``make`` target, must cite one that exists.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import re
 from typing import Iterable
 
 ROOT = pathlib.Path(__file__).parent.parent
-_CITED_FILE = re.compile(r"`((?:tests|benchmarks)/[\w/]+\.(?:py|json))`")
+_CITED_FILE = re.compile(r"`((?:tests|bench|examples)/[\w/]+\.\w+)`")
+_CITED_MAKE_TARGET = re.compile(r"`make\s+([\w-]+)")
+_MAKE_TARGET = re.compile(r"^([\w-]+):", re.MULTILINE)
 
 
 def doc_path(name: str) -> pathlib.Path:
@@ -23,6 +26,12 @@ def doc_path(name: str) -> pathlib.Path:
 
 def doc_text(name: str) -> str:
     return doc_path(name).read_text()
+
+
+def prose_docs() -> list[pathlib.Path]:
+    """Every document whose file and ``make`` citations are checked."""
+    top = ("README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+    return [ROOT / name for name in top] + sorted((ROOT / "docs").glob("*.md"))
 
 
 def assert_listed_once(documented: Iterable[str], doc: str) -> None:
@@ -62,8 +71,15 @@ def assert_namespace_documented(
     assert not missing, f"{prefix}* missing from docs/{doc}: {sorted(missing)}"
 
 
-def assert_cited_files_exist(doc: str) -> None:
-    cited = _CITED_FILE.findall(doc_text(doc))
-    assert cited, f"docs/{doc} cites no test or benchmark files"
+def assert_cited_files_exist(doc: pathlib.Path) -> list[str]:
+    """Every cited test / harness / example file exists; returns them."""
+    cited = _CITED_FILE.findall(doc.read_text())
     for rel in cited:
-        assert (ROOT / rel).exists(), f"docs/{doc} cites missing file {rel}"
+        assert (ROOT / rel).exists(), f"{doc.name} cites missing file {rel}"
+    return cited
+
+
+def assert_cited_make_targets_exist(doc: pathlib.Path) -> None:
+    targets = set(_MAKE_TARGET.findall((ROOT / "Makefile").read_text()))
+    for target in _CITED_MAKE_TARGET.findall(doc.read_text()):
+        assert target in targets, f"{doc.name} cites missing target `make {target}`"

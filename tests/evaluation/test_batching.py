@@ -8,7 +8,6 @@ at close, and constraint outcomes are identical to per-update waves.
 
 import pytest
 
-from repro.baselines.triggers import depth_first_factory
 from repro.core.database import Database
 from repro.core.rules import (
     AttributeTarget,
@@ -30,6 +29,7 @@ from repro.core.schema import (
 )
 from repro.errors import TransactionAborted, UnknownAttributeError
 from repro.workloads import build_chain, link, sum_node_schema
+from tests.references import chunk_only, fixed_order_db, full_recompute_db
 
 
 def constrained_schema() -> Schema:
@@ -290,16 +290,14 @@ class TestBatchedTransactions:
         assert db.get_attr(nodes[0], "weight") == 1
         assert db.get_attr(nodes[-1], "total") == 4
 
-    def test_auto_batch_database_setting(self):
-        db = Database(sum_node_schema(), auto_batch_transactions=True)
+    def test_batching_is_chosen_per_transaction(self, db):
         nodes = build_chain(db, 5)
         db.get_attr(nodes[-1], "total")
         before = db.engine.counters.snapshot()
-        with db.transaction():
+        with db.transaction(batch=True):
             for iid in nodes:
                 db.set_attr(iid, "weight", 2)
         assert db.engine.counters.delta_since(before).waves == 1
-        # Opt out per-transaction.
         before = db.engine.counters.snapshot()
         with db.transaction(batch=False):
             db.set_attr(nodes[0], "weight", 3)
@@ -315,8 +313,8 @@ class TestBatchedTransactions:
 
 
 class TestBaselinesAndFastPath:
-    def test_batch_is_noop_for_baseline_engines(self):
-        db = Database(sum_node_schema(), engine_factory=depth_first_factory())
+    def test_batch_on_reference_engine_yields_full_recompute_values(self):
+        db = full_recompute_db(sum_node_schema())
         nodes = build_chain(db, 4)
         with db.batch():
             db.set_attr(nodes[0], "weight", 6)
@@ -324,7 +322,9 @@ class TestBaselinesAndFastPath:
 
     def test_fast_path_off_matches_fast_path_on(self):
         def run(fast_path: bool):
-            db = Database(sum_node_schema(), fast_path=fast_path)
+            db = Database(sum_node_schema())
+            if not fast_path:
+                chunk_only(db)
             nodes = build_chain(db, 8)
             db.get_attr(nodes[-1], "total")
             for value in (5, 9):
@@ -351,7 +351,7 @@ class TestBaselinesAndFastPath:
         assert delta.chunk_executions == 0
 
     def test_non_greedy_policies_keep_chunked_waves(self):
-        db = Database(sum_node_schema(), policy="fifo", pool_capacity=4096)
+        db = fixed_order_db(sum_node_schema(), "fifo", pool_capacity=4096)
         nodes = build_chain(db, 6)
         db.get_attr(nodes[-1], "total")
         before = db.engine.counters.snapshot()

@@ -1,8 +1,8 @@
 """Counters arithmetic and the collect-chunk path of the engine."""
 
-from repro.core.database import Database
 from repro.evaluation.counters import EvalCounters
 from repro.workloads import link, sum_node_schema
+from tests.references import ORDERS, db_in_order
 
 
 class TestCounters:
@@ -34,11 +34,8 @@ class TestCollectChunks:
     collect chunks, so value gathering is subject to I/O-aware ordering."""
 
     def build_gather(self, policy="greedy"):
-        db = Database(
-            sum_node_schema(),
-            block_capacity=2048,
-            pool_capacity=2,
-            policy=policy,
+        db = db_in_order(
+            sum_node_schema(), policy, block_capacity=2048, pool_capacity=2
         )
         producers = [db.create("node", weight=i + 1) for i in range(40)]
         hub = db.create("node")
@@ -71,7 +68,7 @@ class TestCollectChunks:
 
     def test_policies_agree_on_gather(self):
         values = set()
-        for policy in ("greedy", "fifo", "lifo"):
+        for policy in ORDERS:
             db, hub, __ = self.build_gather(policy)
             values.add(db.get_attr(hub, "total"))
         assert len(values) == 1

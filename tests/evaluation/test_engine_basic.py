@@ -1,10 +1,13 @@
 """Engine behaviour: demand, cycles, transitive flows, wave hygiene."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.database import Database
 from repro.errors import CycleError
-from repro.workloads import build_chain, build_grid, link, sum_node_schema
+from repro.workloads import build_chain, build_fan, build_grid, link, sum_node_schema
+from tests.references import ORDERS, db_in_order
 
 
 def fresh_db(**kwargs) -> Database:
@@ -77,10 +80,13 @@ class TestCycleDetection:
         assert db.view(a).connections("inputs") == []
 
     def test_lazy_mode_detects_at_demand(self):
-        db = Database(sum_node_schema(), detect_cycles=False)
+        # The engine's own wait-for-cycle detection, reached by blinding
+        # the connect-time check (which is always on).
+        db = Database(sum_node_schema())
         a, b = db.create("node"), db.create("node")
         link(db, a, b)
-        link(db, b, a)  # permitted: eager checking disabled
+        with mock.patch.object(Database, "_find_dependent_path", return_value=None):
+            link(db, b, a)
         with pytest.raises(CycleError):
             db.get_attr(a, "total")
 
@@ -100,9 +106,9 @@ class TestDeepGraphs:
 
 
 class TestSchedulingPoliciesAgree:
-    @pytest.mark.parametrize("policy", ["greedy", "fifo", "lifo"])
+    @pytest.mark.parametrize("policy", ORDERS)
     def test_policies_compute_identical_values(self, policy):
-        db = Database(sum_node_schema(), policy=policy, pool_capacity=4)
+        db = db_in_order(sum_node_schema(), policy, pool_capacity=4)
         grid = build_grid(db, 5, 5)
         baseline = Database(sum_node_schema(), pool_capacity=1024)
         grid2 = build_grid(baseline, 5, 5)
@@ -132,12 +138,15 @@ class TestUnchangedValues:
 
 
 class TestEagerMode:
-    def test_eager_mode_leaves_nothing_out_of_date(self):
-        db = fresh_db(eager=True)
-        from repro.workloads import build_fan
+    """Laziness against its alternative: draining every mark after each
+    update with ``evaluate_all_out_of_date()``."""
 
+    def test_eager_mode_leaves_nothing_out_of_date(self):
+        db = fresh_db()
         fan = build_fan(db, 10)
         db.set_attr(fan["hub"], "weight", 7)
+        assert db.engine.out_of_date  # lazy: unimportant slots stay marked
+        db.engine.evaluate_all_out_of_date()
         assert not db.engine.out_of_date
         for consumer in fan["consumers"]:
             assert db.instance(consumer).attrs["total"] == 8
@@ -145,8 +154,10 @@ class TestEagerMode:
     def test_eager_and_lazy_agree_on_values(self):
         results = []
         for eager in (False, True):
-            db = fresh_db(eager=eager)
+            db = fresh_db()
             nodes = build_chain(db, 10)
             db.set_attr(nodes[2], "weight", 5)
+            if eager:
+                db.engine.evaluate_all_out_of_date()
             results.append([db.get_attr(n, "total") for n in nodes])
         assert results[0] == results[1]

@@ -1,15 +1,15 @@
 """Unit tests for the chunk scheduler."""
 
 from repro.evaluation.scheduler import Chunk, ChunkScheduler
+from tests.references import FixedOrderScheduler
 
 
 def make_scheduler(resident=frozenset(), policy="greedy", blocks=None):
     blocks = blocks or {}
-    return ChunkScheduler(
-        is_resident=lambda iid: iid in resident,
-        block_of=lambda iid: blocks.get(iid, iid),
-        policy=policy,
-    )
+    callbacks = (lambda iid: iid in resident, lambda iid: blocks.get(iid, iid))
+    if policy == "greedy":
+        return ChunkScheduler(*callbacks)
+    return FixedOrderScheduler(policy, *callbacks)
 
 
 class TestBasicExecution:
@@ -85,12 +85,6 @@ class TestPriorities:
         sched.run_to_exhaustion()
         assert ran == [3, 2, 1, 0]
 
-    def test_unknown_policy_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            make_scheduler(policy="random")
-
 
 class TestBlockPromotion:
     def test_on_block_loaded_promotes(self):
@@ -159,7 +153,6 @@ class TestBlockDemotion:
         return ChunkScheduler(
             is_resident=lambda iid: iid in resident,
             block_of=lambda iid: blocks[iid],
-            policy="greedy",
             fast_runner=fast_runner,
         )
 
@@ -239,7 +232,6 @@ class TestFastLane:
         sched = ChunkScheduler(
             is_resident=lambda iid: True,
             block_of=lambda iid: iid,
-            policy="greedy",
             fast_runner=seen.append,
         )
         sched.schedule_fast((0, (1, "a"), None))
@@ -254,7 +246,6 @@ class TestFastLane:
         sched = ChunkScheduler(
             is_resident=lambda iid: True,
             block_of=lambda iid: iid,
-            policy="greedy",
             fast_runner=lambda entry: ran.append(entry[1]),
         )
         sched.schedule(Chunk(lambda: ran.append("chunk1"), iid=1))

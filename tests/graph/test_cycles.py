@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import CycleError
-from repro.graph.cycles import find_cycle, graph_has_cycle, topological_order
-from tests.references import DependencyGraph
+from repro.graph.cycles import find_cycle, graph_has_cycle
+from tests.references import DependencyGraph, topological_order
 
 A, B, C, D, E = (1, "a"), (1, "b"), (2, "c"), (2, "d"), (3, "e")
 

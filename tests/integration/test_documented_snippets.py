@@ -1,5 +1,14 @@
-"""The code snippets shipped in README/package docstrings must keep working."""
+"""The code snippets shipped in README/package docstrings must keep working,
+and every file or ``make`` target a document cites must exist."""
 
+import pytest
+
+from tests.doccheck import (
+    ROOT,
+    assert_cited_files_exist,
+    assert_cited_make_targets_exist,
+    prose_docs,
+)
 from repro import (
     AttrKind,
     AttributeDef,
@@ -16,6 +25,14 @@ from repro import (
     Schema,
     TransmitTarget,
 )
+
+
+@pytest.mark.parametrize(
+    "doc", prose_docs(), ids=lambda path: path.relative_to(ROOT).as_posix()
+)
+def test_cited_files_and_make_targets_exist(doc):
+    assert_cited_files_exist(doc)
+    assert_cited_make_targets_exist(doc)
 
 
 def test_readme_quickstart():

@@ -17,12 +17,16 @@ from collections import Counter
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.baselines import breadth_first_factory, depth_first_factory
 from repro.core.database import Database
 from repro.core.schema import AttributeDef, ObjectClass
 from repro.dsl import compile_schema
 from repro.storage.codec import dump_database, restore_database
-from tests.references import reference_depgraph, reference_edges
+from tests.references import (
+    breadth_first_factory,
+    depth_first_factory,
+    reference_depgraph,
+    reference_edges,
+)
 from repro.workloads import (
     build_random_dag,
     run_update_script,

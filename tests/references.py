@@ -7,6 +7,15 @@ the test side, instead of behind a switch in ``src/``:
 
 * **values** -- :func:`full_recompute_db`, a database whose engine
   re-evaluates every derived slot after every change;
+* **evaluation work** -- the paper's Section 2.2 strawmen, substituted
+  through ``Database(engine_factory=...)``: eager triggers fired
+  depth-first / breadth-first (:func:`depth_first_factory`,
+  :func:`breadth_first_factory`) and :func:`full_recompute_factory`;
+* **traversal order** -- :func:`fixed_order_db`, whose
+  :class:`FixedOrderScheduler` runs chunks strictly FIFO or LIFO (the
+  naive orders of Section 2.3 / experiment E4), and :func:`chunk_only`,
+  which keeps resident work off the fast lane so everything is a
+  ``Chunk``;
 * **the dependency graph** -- :func:`reference_depgraph`, a stored
   :class:`DependencyGraph` rebuilt from ``schema.resolved(...)`` rules x
   live connections without touching a slot plan; ``Database.depgraph`` (a
@@ -22,12 +31,12 @@ the test side, instead of behind a switch in ``src/``:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from contextlib import nullcontext
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Sequence
 from unittest import mock
 
-from repro.baselines.full_recompute import FullRecomputeEngine
 from repro.compile import CompiledBody
 from repro.core.database import Database
 from repro.core.rules import (
@@ -39,6 +48,10 @@ from repro.core.rules import (
 )
 from repro.core.slots import Slot, transmit_slot
 from repro.dsl.compiler import _booleanize
+from repro.errors import CactisError, CycleError, RuleEvaluationError
+from repro.evaluation.engine import IncrementalEngine
+from repro.evaluation.scheduler import Chunk, ChunkScheduler
+from repro.graph.cycles import find_cycle
 from repro.graph.depgraph import could_change
 from repro.obs.events import SlotEvaluated, WaveEnd, WaveStart
 
@@ -87,39 +100,292 @@ def unfolded(active: bool = True):
     return mock.patch("repro.analysis.facts.compute_facts", lambda schema: None)
 
 
-class _BatchedFullRecompute(FullRecomputeEngine):
-    """Recompute-everything with ``Database.batch()``'s check-at-close.
+def topological_order(
+    seeds: Iterable[Slot],
+    dependencies: Callable[[Slot], Sequence[Slot]],
+) -> list[Slot]:
+    """Dependencies-first ordering of everything reachable from ``seeds``.
 
-    Inside a batch nothing is evaluated; the close recomputes the whole
-    database once, so constraints see the final state exactly as the
-    incremental engine's coalesced wave does.
+    Raises :class:`repro.errors.CycleError` when the region is cyclic.
+    """
+    white, gray, black = 0, 1, 2
+    order: list[Slot] = []
+    colour: dict[Slot, int] = {}
+    for seed in seeds:
+        if colour.get(seed, white) != white:
+            continue
+        stack: list[tuple[Slot, list[Slot], int]] = [
+            (seed, list(dependencies(seed)), 0)
+        ]
+        colour[seed] = gray
+        while stack:
+            slot, deps, index = stack.pop()
+            if index < len(deps):
+                stack.append((slot, deps, index + 1))
+                nxt = deps[index]
+                state = colour.get(nxt, white)
+                if state == gray:
+                    cycle = find_cycle([seed], dependencies)
+                    raise CycleError(cycle if cycle else [nxt, slot])
+                if state == white:
+                    colour[nxt] = gray
+                    stack.append((nxt, list(dependencies(nxt)), 0))
+            else:
+                colour[slot] = black
+                order.append(slot)
+    return order
+
+
+class TriggerBudgetExceeded(CactisError):
+    """An eager reference engine exceeded its recomputation budget.
+
+    Eager propagation is exponential on path-rich graphs; the budget turns
+    a runaway comparison into a measurable, reportable event.
     """
 
-    _depth = 0
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        super().__init__(f"trigger propagation exceeded {budget} recomputations")
 
-    def begin_batch(self) -> None:
-        self._depth += 1
+
+class EagerTriggerEngine(IncrementalEngine):
+    """Eager per-edge trigger propagation (the Section 2.2 strawman).
+
+        "a simple trigger mechanism might work recursively, invoking new
+        triggers as soon as data changes.  Any trigger mechanism which
+        uses a fixed ordering of some sort (e.g. depth first or breadth
+        first) can needlessly recompute some values, in fact, in the worst
+        case can recompute an exponential number of values."
+
+    *Correct* -- the final state matches the incremental engine's -- but
+    push-based: a change recomputes each dependent immediately and then
+    pushes *its* dependents, once per edge, so a slot is recomputed once
+    per path from the change.  Nothing is ever left out of date, so the
+    marking, batching and scheduling it inherits from
+    :class:`IncrementalEngine` stay idle; only the three entry points the
+    database drives are replaced.  Never-computed values are
+    pull-evaluated in dependency order on first touch.
+    """
+
+    #: which end of the worklist fires next; subclasses fix the order.
+    _next: Callable[[deque], Slot]
+
+    def __init__(self, host: Database, budget: int | None = None) -> None:
+        super().__init__(host)
+        self.budget = budget
+        self._recomputes_this_txn = 0
+
+    def propagate_intrinsic_change(self, slot: Slot) -> None:
+        self._recomputes_this_txn = 0
+        self._fire_from([slot])
+
+    def invalidate_derived(self, slots: Iterable[Slot]) -> None:
+        self._recomputes_this_txn = 0
+        slots = list(slots)
+        for slot in slots:
+            self._recompute(slot)
+        self._fire_from(slots)
+
+    def demand(self, slot: Slot) -> Any:
+        self.counters.demands += 1
+        self._pull_evaluate(slot)
+        self.host.storage.touch(slot[0])
+        return self.host.read_slot_value(slot)
+
+    def register_demand(self, slot: Slot) -> None:
+        super().register_demand(slot)
+        self._pull_evaluate(slot)
+
+    def _fire_from(self, seeds: Iterable[Slot]) -> None:
+        dependents = self.host.depgraph.dependents
+        worklist: deque[Slot] = deque()
+        for seed in seeds:
+            for dependent in dependents(seed):
+                self.counters.mark_edge_visits += 1
+                worklist.append(dependent)
+        while worklist:
+            slot = self._next(worklist)
+            self._recompute(slot)
+            for dependent in dependents(slot):
+                self.counters.mark_edge_visits += 1
+                worklist.append(dependent)
+
+    def _needs_first_value(self, slot: Slot) -> bool:
+        host = self.host
+        return host.rule_for(slot) is not None and not host.has_slot_value(slot)
+
+    def _recompute(self, slot: Slot) -> None:
+        """Re-run one slot's rule against current (cached) input values."""
+        host = self.host
+        rule = host.rule_for(slot)
+        if rule is None:
+            return
+        if self.budget is not None:
+            self._recomputes_this_txn += 1
+            if self._recomputes_this_txn > self.budget:
+                raise TriggerBudgetExceeded(self.budget)
+        iid, name = slot
+        plan = self._plans.plan_of(iid)
+        bindings = plan.resolve_bindings(
+            plan.index[name], iid, self._plans.instance_of(iid)
+        )
+        values: dict[Slot, Any] = {}
+        for binding in bindings:
+            for dep in binding.slots:
+                if dep in values:
+                    continue
+                self._pull_evaluate(dep)
+                host.storage.touch(dep[0])
+                values[dep] = host.read_slot_value(dep)
+        host.storage.touch(iid, dirty=True)
+        try:
+            value = rule.body(**{b.kw: b.assemble(iid, values) for b in bindings})
+        except Exception as exc:
+            raise RuleEvaluationError(slot, exc) from exc
+        had_old = host.has_slot_value(slot)
+        old = host.read_slot_value(slot) if had_old else None
+        host.write_slot_value(slot, value)
+        self.counters.rule_evaluations += 1
+        if had_old and old == value:
+            self.counters.unchanged_evaluations += 1
+        if is_constraint_attr(name):
+            host.handle_constraint_result(slot, bool(value))
+        elif is_subtype_attr(name):
+            host.handle_subtype_result(slot, bool(value))
+
+    def _pull_evaluate(self, slot: Slot) -> None:
+        """First-touch evaluation of a never-computed slot, deps first."""
+        if not self._needs_first_value(slot):
+            return
+
+        def dependencies(s: Slot) -> list[Slot]:
+            if not self._needs_first_value(s):
+                return []
+            return self.host.depgraph.dependencies(s)
+
+        for s in topological_order([slot], dependencies):
+            if self._needs_first_value(s):
+                self._recompute(s)
+
+
+class DepthFirstTriggerEngine(EagerTriggerEngine):
+    """Triggers fired in depth-first order (a LIFO stack of pending edges)."""
+
+    _next = staticmethod(deque.pop)
+
+
+class BreadthFirstTriggerEngine(EagerTriggerEngine):
+    """Triggers fired in breadth-first order (a FIFO queue of pending edges)."""
+
+    _next = staticmethod(deque.popleft)
+
+
+class FullRecomputeEngine(EagerTriggerEngine):
+    """Recomputes the entire derived state on every change.
+
+    "One approach would be to recompute all attribute values every time a
+    change is made to any part of the system.  This is clearly too
+    expensive."  (Section 2.2.)  The upper anchor of experiment E1, and --
+    checked at batch close like the incremental engine's coalesced wave,
+    so constraints see the same final state -- the value reference of
+    :func:`full_recompute_db`.
+    """
+
+    def propagate_intrinsic_change(self, slot: Slot) -> None:
+        self._recompute_everything()
+
+    def invalidate_derived(self, slots: Iterable[Slot]) -> None:
+        self._recompute_everything()
 
     def end_batch(self) -> None:
-        self._depth -= 1
-        if not self._depth:
-            self._recompute_everything()
+        super().end_batch()
+        self._recompute_everything()
 
-    def abandon_batch(self) -> None:
-        self._depth -= 1
+    def _recompute_everything(self) -> None:
+        if self.in_batch:
+            return  # one recomputation at batch close
+        self._recomputes_this_txn = 0
+        host = self.host
+        derived = [s for s in host.depgraph.slots() if host.rule_for(s) is not None]
+        # Dependencies first, so inputs are always fresh.
+        for slot in topological_order(derived, host.depgraph.dependencies):
+            self._recompute(slot)
 
-    def propagate_intrinsic_change(self, slot) -> None:
-        if not self._depth:
-            super().propagate_intrinsic_change(slot)
 
-    def invalidate_derived(self, slots) -> None:
-        if not self._depth:
-            super().invalidate_derived(slots)
+def depth_first_factory(budget: int | None = None):
+    """``engine_factory`` for :class:`DepthFirstTriggerEngine`."""
+    return partial(DepthFirstTriggerEngine, budget=budget)
+
+
+def breadth_first_factory(budget: int | None = None):
+    """``engine_factory`` for :class:`BreadthFirstTriggerEngine`."""
+    return partial(BreadthFirstTriggerEngine, budget=budget)
+
+
+def full_recompute_factory(budget: int | None = None):
+    """``engine_factory`` for :class:`FullRecomputeEngine`."""
+    return partial(FullRecomputeEngine, budget=budget)
 
 
 def full_recompute_db(schema, **kwargs) -> Database:
     """The value reference: a database that recomputes everything."""
-    return Database(schema, engine_factory=_BatchedFullRecompute, **kwargs)
+    return Database(schema, engine_factory=FullRecomputeEngine, **kwargs)
+
+
+def chunk_only(db: Database) -> Database:
+    """Keep resident work off the fast lane: every unit of work is a ``Chunk``.
+
+    The waves the engine ran before the allocation-free fast lane existed;
+    values and marking / evaluation counters must not depend on the lane.
+    """
+    db.engine._fast_ok = lambda iid: False
+    return db
+
+
+class FixedOrderScheduler(ChunkScheduler):
+    """Chunks run strictly first-in-first-out or last-in-first-out.
+
+    The naive breadth-first / depth-first traversal orders Section 2.3
+    argues against (experiment E4): no very-high queue for resident work,
+    no promotion when a block is loaded, no pricing by expected I/O.  The
+    one queue is the inherited ``_high`` deque, so ``idle`` / ``clear`` /
+    the background lane work unchanged.
+    """
+
+    def __init__(self, order: str, *args: Any) -> None:
+        super().__init__(*args)
+        self._take = {"fifo": deque.popleft, "lifo": deque.pop}[order]
+
+    def schedule(self, chunk: Chunk) -> None:
+        self._high.append(chunk)
+
+    def on_block_evicted(self, block_id: int) -> None:
+        """No demotion: residency never routed anything here."""
+
+    def _pop(self) -> Chunk | None:
+        return self._take(self._high) if self._high else None
+
+
+def fixed_order_db(schema, order: str, **sizing) -> Database:
+    """A database whose waves run in fixed ``"fifo"`` / ``"lifo"`` order."""
+    db = chunk_only(Database(schema, **sizing))
+    storage = db.storage
+    scheduler = FixedOrderScheduler(order, storage.is_resident, storage.block_of)
+    db.engine.scheduler = scheduler
+    storage.buffer.on_load = scheduler.on_block_loaded
+    storage.buffer.on_evict = scheduler.on_block_evicted
+    return db
+
+
+#: experiment E4's traversal orders: the engine's own, then the two references.
+ORDERS = ("greedy", "fifo", "lifo")
+
+
+def db_in_order(schema, order: str, **sizing) -> Database:
+    """A database running its waves in one of :data:`ORDERS`."""
+    if order == "greedy":
+        return Database(schema, **sizing)
+    return fixed_order_db(schema, order, **sizing)
 
 
 #: shared empty adjacency for slots with no edges (avoids per-call allocation).

@@ -66,4 +66,4 @@ def test_wal_payload_kinds_match_registry():
 
 
 def test_cited_test_and_bench_files_exist():
-    assert_cited_files_exist(DOC.name)
+    assert assert_cited_files_exist(DOC), f"{DOC.name} cites no test files"
