@@ -192,12 +192,7 @@ class Database:
             return data
 
         def scheduler_metrics() -> dict:
-            sched = self.engine.scheduler
-            return {
-                "chunks_executed": sched.executed,
-                "fast_lane_executed": sched.fast_executed,
-                "background_executed": sched.background_executed,
-            }
+            return {"background_executed": self.engine.scheduler.background_executed}
 
         def cc_metrics() -> dict:
             return {f.name: 0 for f in dc_fields(CCStats)}
@@ -743,6 +738,10 @@ class Database:
 
     def get_attr(self, iid: int, attr: str) -> Any:
         """Retrieve an attribute value, evaluating it if out of date."""
+        return self.engine.demand(self._readable_slot(iid, attr))
+
+    def _readable_slot(self, iid: int, attr: str) -> Slot:
+        """The slot ``get_attr`` reads; raises for an unknown instance or attribute."""
         instance = self.instance(iid)
         if attr not in self._plan(iid).attributes and not (
             is_constraint_attr(attr) or is_subtype_attr(attr)
@@ -750,7 +749,7 @@ class Database:
             raise UnknownAttributeError(
                 f"class {instance.class_name!r} has no attribute {attr!r}"
             )
-        return self.engine.demand(attr_slot(iid, attr))
+        return attr_slot(iid, attr)
 
     def get_transmitted(self, iid: int, port: str, value: str) -> Any:
         """Retrieve a value the instance transmits across ``port``."""
@@ -765,9 +764,11 @@ class Database:
 
         The attribute is evaluated immediately (a watch is a query with a
         future), so from this point on it is maintained through every
-        propagation wave until :meth:`unwatch`.
+        propagation wave until :meth:`unwatch`.  It is validated exactly as
+        :meth:`get_attr` is, before anything is registered, so a failing
+        watch leaves no standing demand behind.
         """
-        slot = attr_slot(iid, attr)
+        slot = self._readable_slot(iid, attr)
         self.engine.register_demand(slot)
         self.engine.demand(slot)
 

@@ -17,11 +17,10 @@ from repro.evaluation.fixedpoint import (
     FixedPointDivergence,
 )
 from repro.evaluation.host import DepBinding, EvaluationHost
-from repro.evaluation.scheduler import Chunk, ChunkScheduler
+from repro.evaluation.scheduler import ChunkScheduler
 from repro.evaluation.trace import WaveTrace, WaveTracer
 
 __all__ = [
-    "Chunk",
     "ChunkScheduler",
     "CircularAttributeSystem",
     "DepBinding",

@@ -25,12 +25,13 @@ class EvalCounters:
     mark_edge_visits: int = 0
     #: explicit user demands (queries) served.
     demands: int = 0
-    #: scheduler chunk executions (a proxy for context switches).
+    #: units of work run that waited in the scheduler's priced heap (a
+    #: proxy for context switches).
     chunk_executions: int = 0
     #: evaluations of a slot whose recomputed value equalled the old value.
     unchanged_evaluations: int = 0
-    #: units of work executed through the resident fast lane -- these would
-    #: each have been a Chunk allocation + chunk execution without it.
+    #: units of work run that were first queued resident, in the very-high
+    #: deque; a unit keeps its lane through promotion and demotion.
     fast_path_hits: int = 0
     #: propagation waves actually run (batching coalesces many primitive
     #: updates into one wave).

@@ -19,7 +19,7 @@ evaluated more than once** per propagation wave, because evaluation clears
 the out-of-date mark and subsequent requests find a clean cached value.
 Unimportant slots simply stay marked until someone asks.
 
-Both phases are expressed as *chunks* run by the
+Both phases are expressed as units of work run by the
 :class:`~repro.evaluation.scheduler.ChunkScheduler`, so traversal order is a
 scheduling decision: greedily I/O-aware, as in the paper (the fixed FIFO/LIFO
 orders of experiment E4 are a test-side reference scheduler).  Evaluation
@@ -27,24 +27,20 @@ requests that cross a relationship record observed disk I/O into the
 relationship's decaying average; marking uses cluster-time worst-case
 estimates (the paper notes marking cannot observe a return trip).
 
-Two engineered fast paths sit on top of the paper's algorithm; both
-preserve its observable semantics exactly:
+**One unit of work; residency picks the queue.**  Every mark, request,
+collect and compute is the one tuple ``(kind, slot, extra)``, handed to the
+scheduler through one ``schedule`` call per kind and executed by one runner,
+:meth:`IncrementalEngine._run`, which keeps the counters, events and chunk
+timer.  The scheduler alone decides the queue: work on a block-resident
+instance joins the very-high deque as the bare tuple, other work waits in
+the priced heap until its block loads.  ``chunk_executions`` counts the
+units that waited, ``fast_path_hits`` the units queued resident.
 
-**Resident fast path.**  A unit of work whose instance's block is already
-in the buffer pool needs no I/O-aware ordering -- it would sit in the
-very-high deque regardless.  Such work is enqueued as a bare
-``(kind, slot, extra)`` tuple via the scheduler's fast lane instead of
-allocating a closure-carrying Chunk.  Fast entries occupy the same
-queue positions a resident Chunk would, so the execution order -- and with
-it every buffer touch and disk read (the E4/E5 quantities) -- is
-bit-identical; only the allocation and dispatch overhead disappears.  The
-moment a non-resident instance appears the work falls back to ordinary
-chunked scheduling.
-
-**Batched waves.**  :meth:`begin_batch` / :meth:`end_batch` (driven by
-``Database.batch()`` and batch-scoped transactions) defer phase 1 across
-many primitive updates and run one coalesced wave whose seeds are the
-union of the changed slots.  Marking still cuts short at already-marked
+**Batched waves** sit on top of the paper's algorithm and preserve its
+observable semantics exactly.  :meth:`begin_batch` / :meth:`end_batch`
+(driven by ``Database.batch()`` and batch-scoped transactions) defer phase
+1 across many primitive updates and run one coalesced wave whose seeds are
+the union of the changed slots.  Marking still cuts short at already-marked
 slots; important slots (constraints, standing demands) are still evaluated
 -- at batch close instead of once per update, which generalises the
 paper's O(1) second-assignment property from "the same attribute twice" to
@@ -69,7 +65,7 @@ from repro.core.slots import Slot
 from repro.errors import CycleError, RuleEvaluationError
 from repro.evaluation.counters import EvalCounters
 from repro.evaluation.host import DepBinding, EvaluationHost
-from repro.evaluation.scheduler import Chunk, ChunkScheduler, FastEntry
+from repro.evaluation.scheduler import ChunkScheduler
 from repro.obs.events import (
     ChunkRun,
     FastLaneHit,
@@ -81,7 +77,7 @@ from repro.obs.events import (
 
 _LOCAL_EDGE_PRIORITY = 0.0  # same-instance edges: no extra block needed
 
-# Fast-lane entry kinds (tuple tag; see ChunkScheduler.schedule_fast).
+# Work kinds: the tag of a ``(kind, slot, extra)`` unit of work.
 _MARK = 0
 _REQUEST = 1
 _COLLECT = 2
@@ -118,8 +114,8 @@ class IncrementalEngine:
         self._plans = host.slot_plans
         self.scheduler = ChunkScheduler(
             is_resident=host.storage.is_resident,
-            block_of=host.storage.block_of,
-            fast_runner=self._run_fast,
+            block_of=host.storage.placement,
+            runner=self._run,
         )
         # Wire buffer-pool loads to chunk promotion ("very high priority
         # queue" of Section 2.3) and evictions to the symmetric demotion,
@@ -357,33 +353,37 @@ class IncrementalEngine:
                         continue
                     self._schedule_mark(dep, conn.peer_port)
 
-    def _fast_ok(self, iid: int) -> bool:
-        """True when work on ``iid`` may ride the allocation-free fast lane."""
-        return self.host.storage.is_resident(iid)
-
     def _schedule_mark(self, slot: Slot, crossing_port: str | None) -> None:
         if slot in self.out_of_date:
             self.counters.mark_edge_visits += 1
             return
-        if self._fast_ok(slot[0]):
-            self.scheduler.schedule_fast((_MARK, slot, crossing_port))
-            return
-        priority = (
+        self.scheduler.schedule(
+            (_MARK, slot, crossing_port),
             self.host.usage.worst_case_io(slot[0], crossing_port)
             if crossing_port is not None
-            else _LOCAL_EDGE_PRIORITY
-        )
-        self.scheduler.schedule(
-            Chunk(lambda s=slot, p=crossing_port: self._mark(s, p), slot[0], priority)
+            else _LOCAL_EDGE_PRIORITY,
         )
 
-    def _run_fast(self, entry: FastEntry) -> None:
-        """Execute one fast-lane entry (the scheduler's fast_runner hook)."""
-        kind, slot, extra = entry
-        self.counters.fast_path_hits += 1
+    def _run(self, work: tuple, waited: bool) -> None:
+        """Execute one unit of work (the scheduler's runner).
+
+        ``waited`` is True for work first queued in the priced heap: it
+        counts as a chunk execution and, while the hub has subscribers, is
+        timed (the hottest path in the engine, so the timer is not
+        free-running).  Work first queued resident is a fast-lane hit.
+        """
+        kind, slot, extra = work
+        if waited:
+            self.counters.chunk_executions += 1
+        else:
+            self.counters.fast_path_hits += 1
+        started = 0.0
         obs = self._obs
         if obs is not None and obs.hub.active:
-            obs.hub.emit(FastLaneHit(kind=_KIND_NAMES[kind], slot=slot))
+            event = ChunkRun if waited else FastLaneHit
+            obs.hub.emit(event(kind=_KIND_NAMES[kind], slot=slot))
+            if waited:
+                started = perf_counter()
         if kind == _MARK:
             self._mark_body(slot, extra)
         elif kind == _REQUEST:
@@ -392,29 +392,11 @@ class IncrementalEngine:
             self._collect_body(slot)
         else:
             self._compute_body(slot)
-
-    def _chunk_observed(self, kind: str, slot: Slot) -> float:
-        """Per-chunk instrumentation, active only while the hub has
-        subscribers (chunk bodies are the hottest path in the engine, so
-        the timer is not free-running).  Returns 0.0 when unobserved."""
-        obs = self._obs
-        if obs is None or not obs.hub.active:
-            return 0.0
-        obs.hub.emit(ChunkRun(kind=kind, slot=slot))
-        return perf_counter()
-
-    def _chunk_done(self, started: float) -> None:
         if started:
-            self._obs.timers["chunk"].record(perf_counter() - started)
-
-    def _mark(self, slot: Slot, crossing_port: str | None) -> None:
-        """Chunk body: mark one slot and fan out to its dependents."""
-        self.counters.chunk_executions += 1
-        started = self._chunk_observed("mark", slot)
-        self._mark_body(slot, crossing_port)
-        self._chunk_done(started)
+            obs.timers["chunk"].record(perf_counter() - started)
 
     def _mark_body(self, slot: Slot, crossing_port: str | None) -> None:
+        """Mark one slot and fan out to its dependents."""
         if slot in self.out_of_date:
             return  # raced with another path; cut short
         self.out_of_date.add(slot)
@@ -494,26 +476,10 @@ class IncrementalEngine:
     def _schedule_request(
         self, slot: Slot, priority: float, user_request: bool = False
     ) -> None:
-        if self._fast_ok(slot[0]):
-            self.scheduler.schedule_fast((_REQUEST, slot, None))
-            return
-        self.scheduler.schedule(
-            Chunk(
-                lambda s=slot: self._request(s),
-                slot[0],
-                priority,
-                user_request=user_request,
-            )
-        )
-
-    def _request(self, slot: Slot) -> None:
-        """Chunk body: first half of an evaluation (gather dependencies)."""
-        self.counters.chunk_executions += 1
-        started = self._chunk_observed("request", slot)
-        self._request_body(slot)
-        self._chunk_done(started)
+        self.scheduler.schedule((_REQUEST, slot, None), priority, user_request)
 
     def _request_body(self, slot: Slot) -> None:
+        """First half of an evaluation: gather dependencies."""
         if slot in self._pending:
             return  # someone else already requested it
         if self._slot_ready(slot):
@@ -556,7 +522,7 @@ class IncrementalEngine:
                         # process before it is scheduled as runnable").
                         pend.remaining.add(dep)
                         self._waiters.setdefault(dep, []).append(slot)
-                        self._schedule_collect(dep, dep_priority)
+                        self.scheduler.schedule((_COLLECT, dep, None), dep_priority)
                 else:
                     pend.remaining.add(dep)
                     self._waiters.setdefault(dep, []).append(slot)
@@ -564,22 +530,8 @@ class IncrementalEngine:
         if not pend.remaining:
             self._schedule_compute(slot)
 
-    def _schedule_collect(self, slot: Slot, priority: float) -> None:
-        # A collect is scheduled precisely because the slot is *not*
-        # resident, so it never rides the fast lane at schedule time (it
-        # may still be promoted when its block is loaded).
-        self.scheduler.schedule(
-            Chunk(lambda s=slot: self._collect(s), slot[0], priority)
-        )
-
-    def _collect(self, slot: Slot) -> None:
-        """Chunk body: fetch one clean value from disk for its waiters."""
-        self.counters.chunk_executions += 1
-        started = self._chunk_observed("collect", slot)
-        self._collect_body(slot)
-        self._chunk_done(started)
-
     def _collect_body(self, slot: Slot) -> None:
+        """Fetch one clean value from disk for its waiters."""
         if slot not in self._waiters:
             return  # every waiter was already satisfied (or abandoned)
         if not self._slot_ready(slot):
@@ -591,28 +543,15 @@ class IncrementalEngine:
         self._notify_waiters(slot, self.host.read_slot_value(slot))
 
     def _schedule_compute(self, slot: Slot) -> None:
-        if self._fast_ok(slot[0]):
-            self.scheduler.schedule_fast((_COMPUTE, slot, None))
-            return
         # All inputs are in hand; only the slot's own block is needed.
-        self.scheduler.schedule(
-            Chunk(lambda s=slot: self._compute(s), slot[0], _LOCAL_EDGE_PRIORITY)
-        )
-
-    def _compute(self, slot: Slot) -> None:
-        """Chunk body: second half of an evaluation (run the rule)."""
-        self.counters.chunk_executions += 1
-        started = self._chunk_observed("compute", slot)
-        self._compute_body(slot)
-        self._chunk_done(started)
+        self.scheduler.schedule((_COMPUTE, slot, None), _LOCAL_EDGE_PRIORITY)
 
     def _compute_body(self, slot: Slot) -> None:
+        """Second half of an evaluation: run the rule."""
         pend = self._pending.pop(slot, None)
         if pend is None:
             return  # already computed via another path
         iid = slot[0]
-        # Re-fetch the executor from the *current* plan at compute time: a
-        # subtype flip earlier in this wave may have swapped the shape.
         self.host.storage.touch(iid, dirty=True)
         values = pend.values
         try:

@@ -95,7 +95,7 @@ class SlotEvaluated(Event):
 
 @dataclass
 class ChunkRun(Event):
-    """The scheduler executed one closure-carrying chunk."""
+    """The scheduler ran one unit of work that waited in the priced heap."""
 
     TYPE = "chunk_run"
 
@@ -105,7 +105,7 @@ class ChunkRun(Event):
 
 @dataclass
 class FastLaneHit(Event):
-    """A unit of work rode the allocation-free resident fast lane."""
+    """The scheduler ran one unit of work first queued resident."""
 
     TYPE = "fast_lane_hit"
 

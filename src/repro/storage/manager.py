@@ -84,6 +84,10 @@ class StorageManager:
         except KeyError:
             raise StorageError(f"instance {iid} has no storage placement") from None
 
+    def placement(self, iid: int) -> int | None:
+        """The instance's block, or None when it has no placement."""
+        return self._block_of.get(iid)
+
     def is_placed(self, iid: int) -> bool:
         return iid in self._block_of
 

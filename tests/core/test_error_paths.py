@@ -15,6 +15,7 @@ from repro.errors import (
     RuleEvaluationError,
     SchemaError,
     TransactionAborted,
+    UnknownAttributeError,
     UnknownInstanceError,
 )
 
@@ -167,3 +168,25 @@ class TestOperationsOnMissingInstances:
             db.connect(iid, "inputs", 999, "outputs")
         with pytest.raises(UnknownInstanceError):
             db.view(999).get("weight")
+
+
+class TestFailedWatch:
+    """A watch is validated exactly like ``get_attr``: failing changes nothing."""
+
+    def test_failed_watch_leaves_no_standing_demand(self, db):
+        iid = db.create("node", weight=1)
+        with pytest.raises(UnknownAttributeError):
+            db.watch(iid, "nope")
+        ghost = db.next_instance_id
+        with pytest.raises(UnknownInstanceError):
+            db.watch(ghost, "total")
+        assert db.engine.standing_demands == set()
+        assert db.metrics()["engine"]["standing_demands"] == 0
+        # The id the failed watch named is allocated next: its total stays
+        # lazy like any unwatched slot instead of being evaluated every wave.
+        assert db.create("node", weight=2) == ghost
+        db.get_attr(ghost, "total")
+        before = db.engine.counters.rule_evaluations
+        db.set_attr(ghost, "weight", 3)
+        assert db.engine.counters.rule_evaluations == before
+        assert (ghost, "total") in db.engine.out_of_date

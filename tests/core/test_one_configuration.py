@@ -3,13 +3,14 @@
 ``Database`` takes sizing plus ``engine_factory`` (the seam through which a
 test substitutes a reference engine); the engine and the chunk scheduler
 take no option at all.  The alternatives the paper argues against --
-fixed FIFO/LIFO traversal orders, eager draining, everything-is-a-chunk
-waves, trigger and full-recompute engines -- are references in
-``tests/references.py``, and every engine a ``Database`` can hold is an
-``IncrementalEngine``, so ``src/`` never probes one for a missing method.
+fixed FIFO/LIFO traversal orders, eager draining, trigger and
+full-recompute engines -- are references in ``tests/references.py``, and
+every engine a ``Database`` can hold is an ``IncrementalEngine``, so
+``src/`` never probes one for a missing method.  Engine work has one form,
+the ``(kind, slot, extra)`` tuple, scheduled one way and run by one runner.
 This guard, in the style of ``test_no_environment_reads.py`` and
-``test_single_structure.py``, fails when a switch, a probe, the baselines
-package or the second benchmark tree comes back.
+``test_single_structure.py``, fails when a switch, a probe, a second form
+of work, the baselines package or the second benchmark tree comes back.
 """
 
 import ast
@@ -27,8 +28,23 @@ REPO = pathlib.Path(__file__).parents[2]
 SIGNATURES = {
     Database: "(self, schema, block_capacity=4096, pool_capacity=8, engine_factory=None)",
     IncrementalEngine: "(self, host)",
-    ChunkScheduler: "(self, is_resident, block_of, fast_runner=None)",
+    ChunkScheduler: "(self, is_resident, block_of, runner)",
 }
+
+#: the second representation of engine work: not an identifier in ``src/``
+#: nor in the references.  There is one unit, ``(kind, slot, extra)``.
+RETIRED_WORK_FORMS = {
+    "Chunk",
+    "FastEntry",
+    "schedule_fast",
+    "fast_runner",
+    "_fast_ok",
+    "_run_fast",
+    "chunk_only",
+}
+
+#: modules that schedule and run that unit: no closures, no catch-alls.
+WORK_MODULES = ("evaluation/engine.py", "evaluation/scheduler.py")
 
 #: the deleted switches and what hung off them: not an identifier anywhere.
 RETIRED = {
@@ -48,6 +64,15 @@ RETIRED = {
 def _modules():
     for path in sorted(SRC.rglob("*.py")):
         yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier the tree binds or uses, including imported names."""
+    names = {_identifier(node) for node in ast.walk(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
 
 
 def _identifier(node: ast.AST) -> str | None:
@@ -101,6 +126,57 @@ def test_no_module_probes_the_engine_for_a_method():
         if _probes_engine(node)
     )
     assert not offenders, f"getattr(engine, ...) fallbacks are back: {offenders}"
+
+
+def test_engine_work_has_one_representation():
+    trees = dict(_modules())
+    trees["tests/references.py"] = ast.parse((REPO / "tests" / "references.py").read_text())
+    offenders = sorted(
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _names(tree) & RETIRED_WORK_FORMS
+    )
+    assert not offenders, f"a second form of engine work is back: {offenders}"
+
+
+def test_engine_schedules_each_work_kind_once_and_runs_it_one_way():
+    kinds, runners = [], []
+    for node in ast.walk(ast.parse((SRC / "evaluation/engine.py").read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        if _identifier(node.func) == "schedule":
+            work = node.args[0]
+            assert isinstance(work, ast.Tuple), ast.unparse(node)
+            kinds.append(_identifier(work.elts[0]))
+        elif _identifier(node.func) == "ChunkScheduler":
+            runners += [ast.unparse(kw.value) for kw in node.keywords if kw.arg == "runner"]
+    assert sorted(kinds) == ["_COLLECT", "_COMPUTE", "_MARK", "_REQUEST"]
+    assert runners == ["self._run"]
+
+
+def _swallows_everything(node: ast.AST) -> bool:
+    """``except Exception`` (or bare ``except``) that does not re-raise.
+
+    The engine's one catch-all turns a failing rule body into a typed
+    ``RuleEvaluationError``; a handler that ends without raising hides the
+    failure instead.
+    """
+    return (
+        isinstance(node, ast.ExceptHandler)
+        and (node.type is None or _identifier(node.type) == "Exception")
+        and not isinstance(node.body[-1], ast.Raise)
+    )
+
+
+def test_work_modules_carry_no_closure_and_no_catch_all():
+    offenders = []
+    for module in WORK_MODULES:
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, ast.Lambda):
+                offenders.append(f"{module}:{node.lineno} lambda")
+            elif _swallows_everything(node):
+                offenders.append(f"{module}:{node.lineno} catch-all")
+    assert not offenders, offenders
 
 
 def test_references_and_the_second_harness_stay_out_of_the_tree():

@@ -29,7 +29,7 @@ from repro.core.schema import (
 )
 from repro.errors import TransactionAborted, UnknownAttributeError
 from repro.workloads import build_chain, link, sum_node_schema
-from tests.references import chunk_only, fixed_order_db, full_recompute_db
+from tests.references import fixed_order_db, full_recompute_db
 
 
 def constrained_schema() -> Schema:
@@ -319,25 +319,6 @@ class TestBaselinesAndFastPath:
         with db.batch():
             db.set_attr(nodes[0], "weight", 6)
         assert db.get_attr(nodes[-1], "total") == 6 + 3
-
-    def test_fast_path_off_matches_fast_path_on(self):
-        def run(fast_path: bool):
-            db = Database(sum_node_schema())
-            if not fast_path:
-                chunk_only(db)
-            nodes = build_chain(db, 8)
-            db.get_attr(nodes[-1], "total")
-            for value in (5, 9):
-                db.set_attr(nodes[0], "weight", value)
-            counters = db.engine.counters
-            return (
-                [db.get_attr(iid, "total") for iid in nodes],
-                counters.rule_evaluations,
-                counters.slots_marked,
-                counters.mark_edge_visits,
-            )
-
-        assert run(fast_path=True) == run(fast_path=False)
 
     def test_fast_path_hits_replace_chunk_executions(self):
         db = Database(sum_node_schema(), pool_capacity=4096)

@@ -12,10 +12,8 @@ the test side, instead of behind a switch in ``src/``:
   depth-first / breadth-first (:func:`depth_first_factory`,
   :func:`breadth_first_factory`) and :func:`full_recompute_factory`;
 * **traversal order** -- :func:`fixed_order_db`, whose
-  :class:`FixedOrderScheduler` runs chunks strictly FIFO or LIFO (the
-  naive orders of Section 2.3 / experiment E4), and :func:`chunk_only`,
-  which keeps resident work off the fast lane so everything is a
-  ``Chunk``;
+  :class:`FixedOrderScheduler` runs work strictly FIFO or LIFO (the
+  naive orders of Section 2.3 / experiment E4);
 * **the dependency graph** -- :func:`reference_depgraph`, a stored
   :class:`DependencyGraph` rebuilt from ``schema.resolved(...)`` rules x
   live connections without touching a slot plan; ``Database.depgraph`` (a
@@ -50,7 +48,7 @@ from repro.core.slots import Slot, transmit_slot
 from repro.dsl.compiler import _booleanize
 from repro.errors import CactisError, CycleError, RuleEvaluationError
 from repro.evaluation.engine import IncrementalEngine
-from repro.evaluation.scheduler import Chunk, ChunkScheduler
+from repro.evaluation.scheduler import ChunkScheduler
 from repro.graph.cycles import find_cycle
 from repro.graph.depgraph import could_change
 from repro.obs.events import SlotEvaluated, WaveEnd, WaveStart
@@ -332,48 +330,35 @@ def full_recompute_db(schema, **kwargs) -> Database:
     return Database(schema, engine_factory=FullRecomputeEngine, **kwargs)
 
 
-def chunk_only(db: Database) -> Database:
-    """Keep resident work off the fast lane: every unit of work is a ``Chunk``.
-
-    The waves the engine ran before the allocation-free fast lane existed;
-    values and marking / evaluation counters must not depend on the lane.
-    """
-    db.engine._fast_ok = lambda iid: False
-    return db
-
-
 class FixedOrderScheduler(ChunkScheduler):
-    """Chunks run strictly first-in-first-out or last-in-first-out.
+    """Work runs strictly first-in-first-out or last-in-first-out.
 
     The naive breadth-first / depth-first traversal orders Section 2.3
     argues against (experiment E4): no very-high queue for resident work,
-    no promotion when a block is loaded, no pricing by expected I/O.  The
-    one queue is the inherited ``_high`` deque, so ``idle`` / ``clear`` /
-    the background lane work unchanged.
+    no promotion when a block is loaded, no pricing by expected I/O.  Every
+    unit is parked in the inherited heap, priced by arrival alone and
+    indexed under no block, so nothing is ever promoted or demoted, every
+    unit counts as one that waited, and ``idle`` / ``clear`` / the
+    background lane work unchanged.
     """
 
-    def __init__(self, order: str, *args: Any) -> None:
-        super().__init__(*args)
-        self._take = {"fifo": deque.popleft, "lifo": deque.pop}[order]
+    def __init__(self, order: str, runner: Callable[[tuple, bool], None]) -> None:
+        super().__init__(lambda iid: False, lambda iid: None, runner)
+        #: FIFO prices every unit alike (arrival order breaks the tie);
+        #: LIFO prices the newest cheapest.
+        self._arrival_sign = {"fifo": 0, "lifo": -1}[order]
 
-    def schedule(self, chunk: Chunk) -> None:
-        self._high.append(chunk)
-
-    def on_block_evicted(self, block_id: int) -> None:
-        """No demotion: residency never routed anything here."""
-
-    def _pop(self) -> Chunk | None:
-        return self._take(self._high) if self._high else None
+    def schedule(self, work: tuple, priority: float = 0.0, user_request: bool = False) -> None:
+        self._park(work, 1, self._arrival_sign * self._seq, True)
 
 
 def fixed_order_db(schema, order: str, **sizing) -> Database:
     """A database whose waves run in fixed ``"fifo"`` / ``"lifo"`` order."""
-    db = chunk_only(Database(schema, **sizing))
-    storage = db.storage
-    scheduler = FixedOrderScheduler(order, storage.is_resident, storage.block_of)
+    db = Database(schema, **sizing)
+    scheduler = FixedOrderScheduler(order, db.engine._run)
     db.engine.scheduler = scheduler
-    storage.buffer.on_load = scheduler.on_block_loaded
-    storage.buffer.on_evict = scheduler.on_block_evicted
+    db.storage.buffer.on_load = scheduler.on_block_loaded
+    db.storage.buffer.on_evict = scheduler.on_block_evicted
     return db
 
 
