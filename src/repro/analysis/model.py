@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.compile import CompiledBody
 from repro.core.rules import (
     AttributeTarget,
     Local,
@@ -34,7 +35,7 @@ from repro.core.rules import (
 from repro.core.schema import Schema
 from repro.dsl import ast
 from repro.dsl.compiler import DEFAULT_CONSTANTS, DEFAULT_FUNCTIONS
-from repro.dsl.resolve import Port, Resolution, Scope, body_of, resolve
+from repro.dsl.resolve import Port, Resolution, Scope, resolve
 from repro.analysis.diagnostics import Diagnostic
 
 Dep = tuple  # ("local", attr) | ("received", port, value)
@@ -543,7 +544,7 @@ def model_from_schema(schema: Schema) -> SchemaModel:
     """Build the analyzer model from compiled schema objects.
 
     Dependencies come from declared rule inputs; rules compiled from the
-    DSL also surface their ASTs (via the interpreter closure) so the type
+    DSL also surface their ASTs (via the compiled body) so the type
     and predicate checks can run on them.  Spans are unavailable (0, 0).
     """
     from repro.core.schema import End
@@ -555,11 +556,10 @@ def model_from_schema(schema: Schema) -> SchemaModel:
 
     def dsl(fn: Any) -> dict[str, Any]:
         """The body and resolution a DSL-compiled callable carries."""
-        interp = body_of(fn)
-        if interp is None:
+        if not isinstance(fn, CompiledBody):
             return {}
-        model.functions.update(interp.functions)
-        return {"body": interp.body, "resolution": interp.resolution}
+        model.functions.update(fn.functions)
+        return {"body": fn.resolution.body, "resolution": fn.resolution}
 
     for rel in schema.relationship_types.values():
         info = RelInfo(rel.name)

@@ -1,23 +1,24 @@
-"""Rule-body codegen: DSL ASTs -> specialized Python closures.
+"""Rule-body codegen: resolved DSL bodies -> specialized Python closures.
 
-The DSL pipeline compiles each rule body into a :class:`_RuleInterpreter`,
-a tree-walking evaluator that re-dispatches on AST node types for every
-evaluation.  That interpreter stays the *semantic reference*; this module
-adds a second backend that emits the equivalent Python source once, at
-``Schema.freeze`` time, and ``compile()``+``exec``s it into a closure
-taking the rule's declared inputs as positional arguments.
+The schema compiler (:mod:`repro.dsl.compiler`) resolves every rule,
+constraint, membership predicate and query ``where``/residual body and
+hands the :class:`~repro.dsl.resolve.Resolution` to :func:`compile_body`,
+which emits the equivalent Python source once and ``compile()``+``exec``s
+it into a closure taking the body's declared inputs as positional
+arguments.  This is the only backend that runs a DSL body; the
+tree-walking reference it is tested against lives in ``tests/references.py``.
 
 Canonicalization makes the emitted source structure-only: parameters are
 named ``a0..aN`` in declared-input order, block-local variables ``v0..vM``
 in first-occurrence order, loop indices ``_i<depth>``, and every
 environment object (registered functions, non-literal constants) is hoisted
 into a numbered global slot.  Two structurally identical rule bodies --
-across classes, subtypes, or repeated constraint resolution -- therefore
-emit byte-identical source, and the module-level cache keyed on
+across classes, subtypes, or repeated query compiles -- therefore emit
+byte-identical source, and the module-level cache keyed on
 ``(source, environment object identities)`` lets them share one code
-object.
+object for as long as some body uses it.
 
-Semantics are mirrored from the interpreter exactly:
+The DSL's semantics, as emitted:
 
 * ``/`` is integer division when both operands are ints (``_div``);
 * ``and`` / ``or`` booleanize both sides and short-circuit;
@@ -28,23 +29,32 @@ Semantics are mirrored from the interpreter exactly:
   assigned name to its fallback (or an ``_UNBOUND`` sentinel checked on
   read);
 * a block falling off the end without ``return`` raises
-  :class:`DslRuntimeError` ("... without a return statement").
+  :class:`DslRuntimeError` ("... without a return statement");
+* a predicate (constraint, membership or query body) coerces its result
+  with ``bool()``.
 
 Names are not resolved here: every ``Name``, ``FieldRef`` and ``For Each``
-is emitted from the binding :mod:`repro.dsl.resolve` gave it, the same
-bindings the interpreter reads.  A body the generator cannot emit (an AST
-node or operator it does not know) is *declined*: the rule keeps its
-interpreter and the compile pass counts a fallback.
+is emitted from the binding :mod:`repro.dsl.resolve` gave it.  The
+resolver reports every unknown name, function or port as a compile error,
+so a body that reaches this module always emits.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import time
+import weakref
+from typing import Any, Callable, Mapping
 
 from repro.dsl import ast
-from repro.dsl.compiler import BINARY_OPS, _div, _RuleInterpreter
-from repro.dsl.resolve import Attr, Const, Recv, Var
+from repro.dsl.resolve import Attr, Const, Recv, Resolution, Var
 from repro.errors import DslRuntimeError
+
+
+def _div(left: Any, right: Any) -> Any:
+    """DSL division: C-style integer division when both operands are ints."""
+    if isinstance(left, int) and isinstance(right, int):
+        return left // right
+    return left / right
 
 
 class _UnboundType:
@@ -60,7 +70,7 @@ _UNBOUND = _UnboundType()
 
 
 def _chk(value: Any, name: str) -> Any:
-    """Guard a read of a maybe-unassigned variable (interpreter parity)."""
+    """Guard a read of a maybe-unassigned variable."""
     if value is _UNBOUND:
         raise DslRuntimeError(f"unbound name {name!r}")
     return value
@@ -80,43 +90,49 @@ _BASE_GLOBALS = {
 _SOURCE_NAME = "<repro.compile rule>"
 
 #: canonical source + env-object identities -> compiled positional function.
-#: Entries hold strong references to their environment objects, so the
-#: ``id()``-based portion of the key can never alias a live entry.
-_CODE_CACHE: dict[tuple, Any] = {}
+#: An entry lives exactly as long as some body holds its function; the
+#: function's globals hold its environment objects, so the ``id()``-based
+#: portion of the key can never alias a live entry.
+_CODE_CACHE: weakref.WeakValueDictionary[tuple, Any] = weakref.WeakValueDictionary()
 
 
 def code_cache_size() -> int:
     return len(_CODE_CACHE)
 
 
-class Unsupported(Exception):
-    """Raised when a body must stay on the interpreter (counted as fallback)."""
-
-
 class CompiledBody:
-    """A compiled rule body: positional fast path plus a kwargs adapter.
+    """A compiled DSL body: positional fast path plus a kwargs adapter.
 
     ``fn`` is the specialized closure taking the declared inputs as
     positional arguments in ``kwnames`` order -- the evaluation engine's
     slot plan calls it directly.  Calling the object itself keeps the
     ``body(**kwargs)`` contract every existing caller (and hand-written
-    rule) uses.  ``__wrapped__`` keeps the original interpreter reachable
-    for the printer, the static analyzer, and equivalence tests.
+    rule) uses.  ``resolution`` (whose ``body`` is the AST) and the
+    ``functions``/``constants`` environment are what the printer, the
+    static analyzer and the test-side reference interpreter read.
     """
 
-    __slots__ = ("fn", "kwnames", "source", "__wrapped__", "__name__")
-
-    #: engine hint: ``fn`` may be called positionally in kwnames order.
-    positional = True
+    __slots__ = (
+        "fn", "kwnames", "source", "resolution", "functions", "constants", "__name__"
+    )
 
     def __init__(
-        self, fn: Any, kwnames: tuple[str, ...], source: str, interpreter: Any
+        self,
+        fn: Any,
+        kwnames: tuple[str, ...],
+        source: str,
+        resolution: Resolution,
+        functions: Mapping[str, Callable[..., Any]],
+        constants: Mapping[str, Any],
+        name: str,
     ) -> None:
         self.fn = fn
         self.kwnames = kwnames
         self.source = source
-        self.__wrapped__ = interpreter
-        self.__name__ = getattr(interpreter, "__name__", "dsl_rule")
+        self.resolution = resolution
+        self.functions = functions
+        self.constants = constants
+        self.__name__ = name
 
     def __call__(self, **kwargs: Any) -> Any:
         try:
@@ -133,12 +149,18 @@ class _Codegen:
 
     def __init__(
         self,
-        interp: _RuleInterpreter,
+        resolution: Resolution,
         inputs: Mapping[str, Any],
+        functions: Mapping[str, Callable[..., Any]],
+        constants: Mapping[str, Any],
+        atoms: Any,
         bool_mode: bool,
     ) -> None:
-        self.interp = interp
-        self.refs = interp.resolution.refs
+        self.resolution = resolution
+        self.refs = resolution.refs
+        self.functions = functions
+        self.constants = constants
+        self.atoms = atoms
         self.bool_mode = bool_mode
         self.kwnames = tuple(inputs)
         self.param_of = {kw: f"a{i}" for i, kw in enumerate(self.kwnames)}
@@ -169,23 +191,17 @@ class _Codegen:
             return repr(value)
         return self._env_ref(value)
 
-    def _param(self, ref: Attr | Recv) -> str:
-        param = self.param_of.get(ref.kw)
-        if param is None:
-            raise Unsupported(f"input {ref.kw!r} is not declared")
-        return param
-
     # -- variable prologue -------------------------------------------------
 
     def _emit_prologue(self) -> None:
         """Pre-bind every block variable to what an unassigned read yields.
 
-        The interpreter reads a variable no path has assigned yet as the
-        local-attribute input or named constant of the same name; binding
+        A variable no path has assigned yet reads as the local-attribute
+        input or named constant of the same name; binding
         that fallback up front (or ``_UNBOUND`` when there is none)
         reproduces it for reads on paths that skipped every assignment.
         """
-        for name, fallback in self.interp.resolution.variables.items():
+        for name, fallback in self.resolution.variables.items():
             pyname = self.vars[name] = f"v{len(self.vars)}"
             if fallback is None:
                 self._line(f"{pyname} = _UNBOUND")
@@ -204,17 +220,15 @@ class _Codegen:
 
     def _emit_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.VarDecl):
-            zero = self._const_expr(self.interp.atoms.get(stmt.type_name).default)
+            zero = self._const_expr(self.atoms.get(stmt.type_name).default)
             self._line(f"{self.vars[stmt.name]} = {zero}")
         elif isinstance(stmt, ast.Assign):
             value = self._expr(stmt.value)
             self._line(f"{self.vars[stmt.name]} = {value}")
         elif isinstance(stmt, ast.ForEach):
-            loop = self.refs.get(id(stmt))
-            if loop is None:
-                raise Unsupported(f"unresolved loop over {stmt.port!r}")
+            loop = self.refs[id(stmt)]
             self._line(
-                f"for _i{loop.depth} in range(len({self._param(loop)})):"
+                f"for _i{loop.depth} in range(len({self.param_of[loop.kw]})):"
             )
             self.depth += 1
             self._emit_stmts(stmt.body)
@@ -231,10 +245,8 @@ class _Codegen:
                 self.depth -= 1
         elif isinstance(stmt, ast.Return):
             self._line(f"return {self._result(stmt.value)}")
-        elif isinstance(stmt, ast.ExprStmt):
+        else:  # ExprStmt
             self._line(self._expr(stmt.value))
-        else:  # pragma: no cover - exhaustive over Stmt
-            raise Unsupported(f"unknown statement {stmt!r}")
 
     # -- expressions -------------------------------------------------------
 
@@ -246,11 +258,8 @@ class _Codegen:
         if isinstance(expr, ast.Literal):
             return self._const_expr(expr.value)
         if isinstance(expr, ast.Call):
-            fn = self.interp.functions.get(expr.fn)
-            if fn is None:
-                raise Unsupported(f"unknown function {expr.fn!r}")
             args = ", ".join(self._expr(arg) for arg in expr.args)
-            return f"{self._env_ref(fn)}({args})"
+            return f"{self._env_ref(self.functions[expr.fn])}({args})"
         if isinstance(expr, ast.Unary):
             operand = self._expr(expr.operand)
             return f"(not {operand})" if expr.op == "not" else f"(- {operand})"
@@ -260,16 +269,12 @@ class _Codegen:
             op = expr.op
             if op in ("and", "or"):
                 return f"(bool({left}) {op} bool({right}))"
-            fn = BINARY_OPS.get(op)
-            if fn is None:
-                raise Unsupported(f"unknown operator {op!r}")
-            if fn is _div:
+            if op == "/":
                 return f"_div({left}, {right})"
+            # Every other strict operator means what Python's infix
+            # operator of the same spelling means.
             return f"({left} {op} {right})"
-        ref = self.refs.get(id(expr))
-        if ref is None:
-            raise Unsupported(f"unresolved expression {expr!r}")
-        return self._ref(ref)
+        return self._ref(self.refs[id(expr)])
 
     def _ref(self, ref: Any) -> str:
         """The Python expression reading one resolver binding."""
@@ -279,13 +284,12 @@ class _Codegen:
                 # The guard names the canonical register, not the source
                 # variable: embedding the user name would make otherwise
                 # structurally identical bodies emit different source and
-                # defeat code-object sharing.  (The interpreter's message
-                # cites the source name and line; both say "unbound name".)
+                # defeat code-object sharing.
                 return f"_chk({pyname}, {pyname!r})"
             return pyname
         if isinstance(ref, Const):
-            return self._const_expr(self.interp.constants[ref.name])
-        param = self._param(ref)
+            return self._const_expr(self.constants[ref.name])
+        param = self.param_of[ref.kw]
         if isinstance(ref, Recv) and ref.depth is not None:
             return f"{param}[_i{ref.depth}]"
         return param
@@ -293,7 +297,7 @@ class _Codegen:
     # -- assembly ----------------------------------------------------------
 
     def build(self) -> tuple[str, list[Any]]:
-        body = self.interp.body
+        body = self.resolution.body
         if isinstance(body, ast.Block):
             self._emit_prologue()
             self._emit_stmts(body.body)
@@ -305,36 +309,45 @@ class _Codegen:
         return source, self.env_objects
 
 
-def compile_interpreter(
-    interp: _RuleInterpreter,
+def compile_body(
+    resolution: Resolution,
     inputs: Mapping[str, Any],
-    bool_mode: bool,
+    *,
+    functions: Mapping[str, Callable[..., Any]],
+    constants: Mapping[str, Any],
+    atoms: Any,
+    predicate: bool,
+    name: str,
     stats: dict[str, Any],
-) -> CompiledBody | None:
-    """Compile one interpreter body; None means "keep the interpreter".
+) -> CompiledBody:
+    """Compile one resolved body into a :class:`CompiledBody`.
 
-    Updates ``stats`` in place: ``cache_hits`` when the canonical source
-    (plus its environment objects) already has a code object,
-    ``code_objects`` when a new one is exec'd, ``fallbacks`` when the body
-    is declined.
+    ``predicate`` bodies coerce their result with ``bool()``.  Updates
+    ``stats`` in place: ``rules_compiled`` and ``compile_seconds`` for
+    every body, ``cache_hits`` when the canonical source (plus its
+    environment objects) already has a live code object, ``code_objects``
+    when a new one is exec'd.
     """
-    try:
-        source, env = _Codegen(interp, inputs, bool_mode).build()
-    except Unsupported:
-        stats["fallbacks"] += 1
-        return None
+    started = time.perf_counter()
+    source, env = _Codegen(
+        resolution, inputs, functions, constants, atoms, predicate
+    ).build()
     key = (source, tuple(map(id, env)))
     fn = _CODE_CACHE.get(key)
     if fn is None:
         namespace = dict(_BASE_GLOBALS)
         namespace.update((f"_g{i}", obj) for i, obj in enumerate(env))
-        # Keep the env objects alive alongside the code object so the
-        # id()-based key can never alias a freed object.
-        namespace["__repro_env__"] = tuple(env)
         exec(compile(source, _SOURCE_NAME, "exec"), namespace)  # noqa: S102
-        fn = namespace["_rule"]
+        # Popped so the namespace (the function's globals, which keep the
+        # env objects alive) does not point back at the function: with no
+        # cycle, refcounting frees both the moment no body uses them.
+        fn = namespace.pop("_rule")
         _CODE_CACHE[key] = fn
         stats["code_objects"] += 1
     else:
         stats["cache_hits"] += 1
-    return CompiledBody(fn, tuple(inputs), source, interp)
+    stats["rules_compiled"] += 1
+    stats["compile_seconds"] += time.perf_counter() - started
+    return CompiledBody(
+        fn, tuple(inputs), source, resolution, functions, constants, name
+    )

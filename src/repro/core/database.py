@@ -279,7 +279,6 @@ class Database:
                 "rules_compiled": stats.get("rules_compiled", 0),
                 "cache_hits": stats.get("cache_hits", 0),
                 "code_objects": stats.get("code_objects", 0),
-                "fallbacks": stats.get("fallbacks", 0),
                 "native_bodies": stats.get("native_bodies", 0),
                 "compile_seconds": stats.get("compile_seconds", 0.0),
                 "plans_built": plans.plans_built,

@@ -306,9 +306,15 @@ class Schema:
         #: bumped on every freeze; lets caches keyed on schema state expire
         #: when the type structure is dynamically extended.
         self.version = 0
-        #: stats from the freeze-time rule-body compilation pass
-        #: (see :mod:`repro.compile`); surfaced as ``compile.*`` metrics.
-        self.compile_stats: dict[str, Any] = {}
+        #: rule-body compilation stats, accumulated by every DSL compile
+        #: into this schema and completed at freeze (see
+        #: :mod:`repro.compile`); surfaced as ``compile.*`` metrics.
+        self.compile_stats: dict[str, Any] = {
+            "rules_compiled": 0,
+            "cache_hits": 0,
+            "code_objects": 0,
+            "compile_seconds": 0.0,
+        }
         #: :class:`~repro.analysis.facts.AnalysisFacts` from the last
         #: freeze, or None (analysis failed).
         self.analysis_facts: Any = None
@@ -458,13 +464,12 @@ class Schema:
             self.analysis_facts = compute_facts(self)
         except Exception:  # an analyzer bug must not block the freeze
             self.analysis_facts = None
-        # Compile once, serve many: fold constant predicates, then swap
-        # DSL-interpreted rule bodies for specialized closures.
-        from repro.compile import compile_frozen_schema, fold_frozen_schema
+        # DSL bodies arrive already compiled; fold the constant predicates
+        # and count what is left hand-written.
+        from repro.compile import fold_frozen_schema, native_bodies
 
-        fold_stats = fold_frozen_schema(self)
-        self.compile_stats = compile_frozen_schema(self)
-        self.compile_stats.update(fold_stats)
+        self.compile_stats.update(fold_frozen_schema(self))
+        self.compile_stats["native_bodies"] = native_bodies(self)
         return self
 
     def _mro(self, name: str) -> tuple[str, ...]:

@@ -11,10 +11,10 @@ that role.  :func:`compile_schema` turns parsed declarations into
   that resolve to class attributes become :class:`Local` inputs, and
   ``x.value`` references become :class:`Received` inputs (``x`` being a
   ``For Each`` loop variable over a multi port, or the name of a
-  single-valued port) -- and compiled into a closure that interprets the
-  body through those bindings.  Because dependencies are declared, compiled
-  rules are indistinguishable from hand-written ones to the evaluation
-  engine.
+  single-valued port) -- and compiled right away into a specialized Python
+  closure (:mod:`repro.compile.codegen`) that reads those bindings.
+  Because dependencies are declared, compiled rules are indistinguishable
+  from hand-written ones to the evaluation engine.
 
 Semantics notes:
 
@@ -34,9 +34,11 @@ Semantics notes:
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable, Mapping
 
+# The module, not its names: repro.compile.codegen imports repro.dsl, whose
+# package init imports this module.
+from repro.compile import codegen
 from repro.core import atoms as atoms_mod
 from repro.core.rules import (
     AttributeTarget,
@@ -59,17 +61,8 @@ from repro.core.schema import (
 )
 from repro.dsl import ast
 from repro.dsl.parser import parse
-from repro.dsl.resolve import (
-    Attr,
-    Const,
-    Port,
-    Recv,
-    Resolution,
-    Scope,
-    Var,
-    resolve,
-)
-from repro.errors import DslCompileError, DslRuntimeError
+from repro.dsl.resolve import Attr, Port, Recv, Scope, resolve
+from repro.errors import DslCompileError
 
 DEFAULT_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "later_of": atoms_mod.later_of,
@@ -130,6 +123,14 @@ class SchemaCompiler:
         self.constants = dict(DEFAULT_CONSTANTS)
         if constants:
             self.constants.update(constants)
+        #: what this compiler's bodies cost; :meth:`compile` adds it to the
+        #: schema's ``compile_stats`` (a query's bodies are not counted).
+        self.stats: dict[str, Any] = {
+            "rules_compiled": 0,
+            "cache_hits": 0,
+            "code_objects": 0,
+            "compile_seconds": 0.0,
+        }
 
     def compile(self, decl: ast.SchemaDecl) -> None:
         for rel in decl.relationships:
@@ -142,6 +143,9 @@ class SchemaCompiler:
         # Pass 2: compile rule bodies, constraints, and subtype predicates.
         for cls_decl, cls in skeletons:
             self._compile_class_rules(cls_decl, cls)
+        totals = self.schema.compile_stats
+        for key, value in self.stats.items():
+            totals[key] += value
 
     # -- declarations ------------------------------------------------------
 
@@ -197,15 +201,15 @@ class SchemaCompiler:
         for constraint_decl in decl.constraints:
             cls.add_constraint(self._compile_constraint(scope, constraint_decl))
         if decl.where is not None:
-            inputs, evaluator = self._compile_body(scope, decl.where, decl.line, decl.column)
+            inputs, predicate = self._compile_body(
+                scope, decl.where, decl.line, decl.column, predicate=True
+            )
             cls.predicate = SubtypePredicate(
-                subtype_name=decl.name,
-                inputs=inputs,
-                predicate=_booleanize(evaluator),
+                subtype_name=decl.name, inputs=inputs, predicate=predicate
             )
 
     def _compile_rule(self, scope: Scope, decl: ast.RuleDecl) -> Rule:
-        inputs, evaluator = self._compile_body(scope, decl.body, decl.line, decl.column)
+        inputs, body = self._compile_body(scope, decl.body, decl.line, decl.column)
         if decl.target_attr is not None:
             target: AttributeTarget | TransmitTarget = AttributeTarget(decl.target_attr)
             name = f"{scope.class_name}.{decl.target_attr}"
@@ -213,12 +217,14 @@ class SchemaCompiler:
             assert decl.target_port is not None and decl.target_value is not None
             target = TransmitTarget(decl.target_port, decl.target_value)
             name = f"{scope.class_name}.{decl.target_port}>{decl.target_value}"
-        return Rule(target=target, inputs=inputs, body=evaluator, name=name)
+        return Rule(target=target, inputs=inputs, body=body, name=name)
 
     def _compile_constraint(
         self, scope: Scope, decl: ast.ConstraintDecl
     ) -> Constraint:
-        inputs, evaluator = self._compile_body(scope, decl.predicate, decl.line, decl.column)
+        inputs, predicate = self._compile_body(
+            scope, decl.predicate, decl.line, decl.column, predicate=True
+        )
         recovery = None
         if decl.recover is not None:
             recovery = self.functions.get(decl.recover)
@@ -232,18 +238,24 @@ class SchemaCompiler:
         return Constraint(
             name=decl.name,
             inputs=inputs,
-            predicate=_booleanize(evaluator),
+            predicate=predicate,
             recovery=recovery,
         )
 
     def _compile_body(
-        self, scope: Scope, body: ast.RuleBody, line: int, column: int = 0
-    ):
-        """Compile one rule/constraint/where body to ``(inputs, evaluator)``.
+        self,
+        scope: Scope,
+        body: ast.RuleBody,
+        line: int,
+        column: int = 0,
+        predicate: bool = False,
+    ) -> tuple[dict[str, Local | Received], codegen.CompiledBody]:
+        """Compile one rule/constraint/where body to ``(inputs, closure)``.
 
         The first resolution problem is a :class:`DslCompileError` at the
         offending node; ``line``/``column`` (the declaration, or a query's
         ``where`` token) stand in for nodes built without a position.
+        A ``predicate`` body's closure returns a bool.
         """
 
         def fail(code: str, message: str, node: Any) -> None:
@@ -257,7 +269,16 @@ class SchemaCompiler:
         }
         for port, value in sorted(resolution.received):
             inputs[Recv(port, value, None).kw] = Received(port, value)
-        return inputs, _RuleInterpreter(self, scope.class_name, resolution)
+        return inputs, codegen.compile_body(
+            resolution,
+            inputs,
+            functions=self.functions,
+            constants=self.constants,
+            atoms=self.schema.atoms,
+            predicate=predicate,
+            name=f"dsl_rule_{scope.class_name}",
+            stats=self.stats,
+        )
 
     def class_scope(self, class_name: str) -> Scope:
         """What rule bodies of ``class_name`` can see, inheritance flattened."""
@@ -290,154 +311,3 @@ class SchemaCompiler:
             chain.append(cls)
             current = cls.supertype
         return chain
-
-
-class _ReturnSignal(Exception):
-    """Internal control flow for ``return`` statements."""
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-
-def _div(left: Any, right: Any) -> Any:
-    """DSL division: C-style integer division when both operands are ints."""
-    if isinstance(left, int) and isinstance(right, int):
-        return left // right
-    return left / right
-
-
-#: the strict binary operators (``and``/``or`` short-circuit and are
-#: handled apart).  Every entry but ``/`` means what Python's infix
-#: operator of the same spelling means, which the code generator relies on.
-BINARY_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "%": operator.mod,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-class _RuleInterpreter:
-    """The compiled rule body: a callable over the declared inputs."""
-
-    def __init__(
-        self, compiler: SchemaCompiler, class_name: str, resolution: Resolution
-    ) -> None:
-        self.functions = compiler.functions
-        self.constants = compiler.constants
-        self.atoms = compiler.schema.atoms
-        self.class_name = class_name
-        self.body = resolution.body
-        self.resolution = resolution
-        self.__name__ = f"dsl_rule_{class_name}"
-
-    def __call__(self, **kwargs: Any) -> Any:
-        env = _Env(kwargs)
-        if isinstance(self.body, ast.Block):
-            try:
-                self._exec_stmts(self.body.body, env)
-            except _ReturnSignal as signal:
-                return signal.value
-            raise DslRuntimeError(
-                f"rule body in class {self.class_name!r} finished "
-                f"without a return statement"
-            )
-        return self._eval(self.body, env)
-
-    # -- statements ------------------------------------------------------------
-
-    def _exec_stmts(self, stmts, env: "_Env") -> None:
-        for stmt in stmts:
-            self._exec(stmt, env)
-
-    def _exec(self, stmt: ast.Stmt, env: "_Env") -> None:
-        if isinstance(stmt, ast.VarDecl):
-            env.vars[stmt.name] = self.atoms.get(stmt.type_name).default
-        elif isinstance(stmt, ast.Assign):
-            env.vars[stmt.name] = self._eval(stmt.value, env)
-        elif isinstance(stmt, ast.ForEach):
-            loop = self.resolution.refs[id(stmt)]
-            for index in range(len(env.kwargs[loop.kw])):
-                env.index[loop.depth] = index
-                self._exec_stmts(stmt.body, env)
-        elif isinstance(stmt, ast.If):
-            if self._eval(stmt.cond, env):
-                self._exec_stmts(stmt.then_body, env)
-            else:
-                self._exec_stmts(stmt.else_body, env)
-        elif isinstance(stmt, ast.Return):
-            raise _ReturnSignal(self._eval(stmt.value, env))
-        elif isinstance(stmt, ast.ExprStmt):
-            self._eval(stmt.value, env)
-        else:  # pragma: no cover - exhaustive over Stmt
-            raise TypeError(f"unknown statement {stmt!r}")
-
-    # -- expressions ------------------------------------------------------------
-
-    def _eval(self, expr: ast.Expr, env: "_Env") -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Call):
-            fn = self.functions[expr.fn]
-            args = [self._eval(arg, env) for arg in expr.args]
-            return fn(*args)
-        if isinstance(expr, ast.Unary):
-            operand = self._eval(expr.operand, env)
-            return (not operand) if expr.op == "not" else -operand
-        if isinstance(expr, ast.Binary):
-            op = expr.op
-            if op == "and":
-                return bool(self._eval(expr.left, env)) and bool(
-                    self._eval(expr.right, env)
-                )
-            if op == "or":
-                return bool(self._eval(expr.left, env)) or bool(
-                    self._eval(expr.right, env)
-                )
-            return BINARY_OPS[op](
-                self._eval(expr.left, env), self._eval(expr.right, env)
-            )
-        # A name or field reference: read what the resolver bound it to.
-        ref = self.resolution.refs.get(id(expr))
-        if isinstance(ref, Var):
-            if ref.name in env.vars:
-                return env.vars[ref.name]
-            ref = self.resolution.variables[ref.name]
-        if isinstance(ref, Attr):
-            return env.kwargs[ref.kw]
-        if isinstance(ref, Const):
-            return self.constants[ref.name]
-        if isinstance(ref, Recv):
-            value = env.kwargs[ref.kw]
-            return value if ref.depth is None else value[env.index[ref.depth]]
-        raise DslRuntimeError(f"unbound name {expr!r}")
-
-
-class _Env:
-    """Runtime environment of one rule invocation."""
-
-    def __init__(self, kwargs: dict[str, Any]) -> None:
-        self.kwargs = kwargs
-        self.vars: dict[str, Any] = {}
-        #: loop depth -> index of the current iteration
-        self.index: dict[int, int] = {}
-
-
-def _booleanize(evaluator: Callable[..., Any]) -> Callable[..., bool]:
-    """Wrap a compiled body so it always yields a bool (predicates)."""
-
-    def predicate(**kwargs: Any) -> bool:
-        return bool(evaluator(**kwargs))
-
-    predicate.__name__ = getattr(evaluator, "__name__", "dsl_predicate")
-    # Expose the interpreter for the printer, the static analyzer, and the
-    # freeze-time compiler (which re-applies the bool coercion itself).
-    predicate.__wrapped__ = evaluator
-    return predicate

@@ -1,10 +1,11 @@
 """Pretty-printer: schema objects back to data-language source.
 
 The inverse of :mod:`repro.dsl.compiler` for DSL-authored schemas: rule
-bodies compiled from source keep their AST inside the interpreter closure,
-so they unparse exactly; schemas (or rules) written against the Python API
-have opaque callables and cannot be printed (``strict=True`` raises,
-otherwise a ``/* native rule */`` marker is emitted).
+bodies compiled from source keep their AST inside the compiled body
+(:class:`~repro.compile.codegen.CompiledBody`), so they unparse exactly;
+schemas (or rules) written against the Python API have opaque callables
+and cannot be printed (``strict=True`` raises, otherwise a
+``/* native rule */`` marker is emitted).
 
 Round-tripping ``compile -> print -> compile`` is tested to produce
 behaviourally identical schemas, which makes the printer safe to use for
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 from typing import Any
 
+# The module, not its names: repro.compile.codegen imports repro.dsl, whose
+# package init imports this module.
+from repro.compile import codegen
 from repro.core.rules import AttributeTarget, Constraint, Rule
 from repro.core.schema import ObjectClass, RelationshipType, Schema
 from repro.dsl import ast
-from repro.dsl.resolve import body_of
 from repro.errors import DslError
 
 _INDENT = "    "
@@ -118,8 +121,9 @@ def format_body(body: ast.RuleBody, depth: int) -> str:
 
 
 def _ast_of(callable_body: Any) -> ast.RuleBody | None:
-    interp = body_of(callable_body)
-    return interp.body if interp is not None else None
+    if isinstance(callable_body, codegen.CompiledBody):
+        return callable_body.resolution.body
+    return None
 
 
 # ---------------------------------------------------------------------------

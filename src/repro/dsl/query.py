@@ -3,8 +3,9 @@
 Cactis retrieval is attribute-at-a-time; real environments also want set
 queries ("all the late milestones").  This module adds them without new
 machinery: the ``where`` clause is an ordinary data-language expression
-compiled by the schema compiler's own dependency analysis, packaged as a
-:class:`~repro.core.predicates.Predicate`, and evaluated per candidate
+compiled by the schema compiler into the same kind of closure as a rule
+body, packaged as a :class:`~repro.core.predicates.Predicate`, and
+evaluated per candidate
 instance (derived attributes are demanded through the incremental engine
 as a side effect, so queries always see consistent values).
 
@@ -478,14 +479,15 @@ def compile_query(
         where_expr = parser.parse_expr()
         compiler = SchemaCompiler(schema, functions=functions, constants=constants)
         scope = compiler.class_scope(class_name)
-        inputs, evaluator = compiler._compile_body(
+        inputs, body = compiler._compile_body(
             scope,
             where_expr,
             where_expr.line or where_token.line,
             where_expr.column or where_token.column,
+            predicate=True,
         )
         predicate = Predicate(
-            inputs, evaluator, description=f"where-clause on {class_name}"
+            inputs, body, description=f"where-clause on {class_name}"
         )
 
     while parser.current.kind != "eof":
@@ -579,12 +581,12 @@ def _extract_sargs(
                 folded = ast.Binary(
                     "and", folded, extra, line=extra.line, column=extra.column
                 )
-            inputs, evaluator = compiler._compile_body(
-                scope, folded, folded.line, folded.column
+            inputs, body = compiler._compile_body(
+                scope, folded, folded.line, folded.column, predicate=True
             )
             residual = Predicate(
                 inputs,
-                evaluator,
+                body,
                 description=f"residual where-clause on {class_name}",
             )
         sargs.append(Sarg(attr=attr, op=op, value=value, residual=residual))

@@ -3,10 +3,9 @@ identifier in a rule, constraint, ``where`` or query body refers to.
 
 The paper's incremental evaluation is only correct if each rule's declared
 dependencies are exactly what its body reads, so "what does this name mean"
-is decided once, here, and every consumer of a body -- the compiler's
-interpreter, the freeze-time code generator, the analyzer's dependency,
-type and value passes -- reads the answer from the :class:`Resolution`
-instead of re-deriving scope.
+is decided once, here, and every consumer of a body -- the code generator,
+the analyzer's dependency, type and value passes -- reads the answer from
+the :class:`Resolution` instead of re-deriving scope.
 
 :func:`resolve` makes one pass over a body in a class :class:`Scope` and
 yields
@@ -119,23 +118,6 @@ class Resolution:
     received: dict[tuple[str, str], Span] = field(default_factory=dict)
     #: ports iterated by ``For Each`` -> the first loop over each.
     loop_ports: dict[str, ast.ForEach] = field(default_factory=dict)
-
-
-def body_of(fn: Any) -> Any:
-    """The DSL body behind a rule, constraint or predicate callable.
-
-    Follows the ``__wrapped__`` chain (compiled closures and the boolean
-    coercion of predicates both keep it) to the object that carries the
-    ``body`` AST, its ``resolution`` and the ``functions`` it may call;
-    ``None`` for a native Python callable.
-    """
-    seen: set[int] = set()
-    while fn is not None and id(fn) not in seen:
-        if isinstance(getattr(fn, "resolution", None), Resolution):
-            return fn
-        seen.add(id(fn))
-        fn = getattr(fn, "__wrapped__", None)
-    return None
 
 
 def resolve(body: ast.RuleBody, scope: Scope, sink: Sink) -> Resolution:

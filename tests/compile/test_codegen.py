@@ -1,21 +1,23 @@
-"""Unit tests for the freeze-time rule-body codegen.
+"""Unit tests for the rule-body codegen.
 
-Covers the public contract of :mod:`repro.compile`: which bodies compile,
-which stay interpreted, how structurally identical bodies share one code
-object, the kwargs adapter of :class:`CompiledBody`, and the interpreter
-fallback for bodies the generator declines.
+Covers the public contract of :mod:`repro.compile`: which bodies compile
+(every DSL body, when it is compiled from source), which stay native, how
+structurally identical bodies share one code object and for how long, and
+the kwargs adapter of :class:`CompiledBody`.
 """
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.compile import CompiledBody
-from repro.compile.codegen import compile_interpreter
+from tests.references import ReferenceInterpreter
+
+from repro.compile import CompiledBody, code_cache_size
 from repro.core.database import Database
 from repro.core.rules import AttributeTarget
-from repro.dsl import ast, compile_schema
-from repro.dsl.compiler import _RuleInterpreter
+from repro.dsl import compile_schema
 from repro.errors import DslRuntimeError
 from repro.workloads import sum_node_schema
 
@@ -62,7 +64,6 @@ class TestCompilePass:
         assert all(isinstance(b, CompiledBody) for b in bodies.values())
         stats = schema.compile_stats
         assert stats["rules_compiled"] == 2
-        assert stats["fallbacks"] == 0
         assert stats["native_bodies"] == 0
         assert stats["compile_seconds"] > 0
 
@@ -92,15 +93,12 @@ class TestCompilePass:
         bodies = _rule_bodies(schema, "node")
         assert not any(isinstance(b, CompiledBody) for b in bodies.values())
 
-    def test_refreeze_is_idempotent(self):
-        schema = compile_schema(CHAIN_SRC)
-        first = dict(schema.compile_stats)
-        schema._frozen = False
-        schema.freeze()
-        # Already-compiled bodies are skipped, not re-counted.
-        assert schema.compile_stats["rules_compiled"] == first["rules_compiled"]
-        bodies = _rule_bodies(schema, "node")
-        assert all(isinstance(b, CompiledBody) for b in bodies.values())
+    def test_bodies_are_compiled_before_freeze(self):
+        schema = compile_schema(CHAIN_SRC, freeze=False)
+        bodies = [rule.body for rule in schema.classes["node"].rules]
+        assert len(bodies) == 2
+        assert all(isinstance(b, CompiledBody) for b in bodies)
+        assert schema.compile_stats["rules_compiled"] == 2
 
 
 class TestCanonicalizationAndCache:
@@ -152,6 +150,19 @@ class TestCanonicalizationAndCache:
         assert b1(l_x=10) == 11
         assert b2(l_x=10) == 9
 
+    def test_cache_does_not_pin_dropped_bodies(self):
+        # Bodies differing only in a literal each get a code object; once
+        # their schemas are gone, so are the cache entries.
+        gc.collect()
+        before = code_cache_size()
+        for i in range(300):
+            compile_schema(
+                "object class c is attributes x : integer; d : integer;"
+                f" rules d = x + {i}; end;"
+            )
+        gc.collect()
+        assert code_cache_size() - before < 10
+
 
 class TestCompiledBodyAdapter:
     def test_kwargs_call_matches_positional_fast_path(self):
@@ -167,44 +178,9 @@ class TestCompiledBodyAdapter:
         with pytest.raises(DslRuntimeError, match="missing rule input"):
             body(l_weight=5)
 
-    def test_wrapped_interpreter_agrees(self):
+    def test_reference_interpreter_agrees(self):
         schema = compile_schema(CHAIN_SRC)
         body = _rule_bodies(schema, "node")["total"]
-        assert isinstance(body.__wrapped__, _RuleInterpreter)
+        reference = ReferenceInterpreter(body, schema.atoms)
         kwargs = {"l_weight": 2, "r_inputs__total": [10, 20]}
-        assert body(**kwargs) == body.__wrapped__(**kwargs) == 32
-
-
-class TestFallbacks:
-    def test_unknown_operator_declines_to_interpreter(self):
-        # Valid DSL can never produce an unknown operator; simulate a
-        # future AST extension by grafting one onto a real interpreter.
-        schema = compile_schema(
-            "object class c is attributes x : integer; d : integer;"
-            " rules d = x + 1; end;"
-        )
-        interp = _rule_bodies(schema, "c")["d"].__wrapped__
-        interp.body = ast.Binary(
-            "**", ast.Name("x"), ast.Literal(2)
-        )
-        stats = {"fallbacks": 0, "cache_hits": 0, "code_objects": 0}
-        rule = next(
-            r for r in schema.resolved("c").rules if _target_key(r.target) == "d"
-        )
-        assert compile_interpreter(interp, rule.inputs, False, stats) is None
-        assert stats["fallbacks"] == 1
-
-    def test_fallback_body_still_evaluates_via_interpreter(self, monkeypatch):
-        def decline(interp, inputs, bool_mode, stats):
-            stats["fallbacks"] += 1
-
-        monkeypatch.setattr("repro.compile.compile_interpreter", decline)
-        schema = compile_schema(CHAIN_SRC)
-        assert schema.compile_stats["fallbacks"] == 2
-        bodies = _rule_bodies(schema, "node")
-        assert all(isinstance(b, _RuleInterpreter) for b in bodies.values())
-        db = Database(schema)
-        a = db.create("node", weight=3)
-        b = db.create("node", weight=4)
-        db.connect(b, "inputs", a, "outputs")
-        assert db.get_attr(b, "total") == 7
+        assert body(**kwargs) == reference(**kwargs) == 32

@@ -1,14 +1,17 @@
-"""Property test: compiled closures are observably equal to the interpreter.
+"""Property test: compiled closures are observably equal to the reference.
 
 Hypothesis generates random (but compilable) DSL rule bodies over a fixed
 class shape -- two integer attributes, a multi port (``For Each`` coverage),
 a single port (dangling-default coverage), a registered function, and a
-named constant.  Each body is compiled twice by the normal pipeline: the
-freeze-time pass swaps in a :class:`CompiledBody` whose ``__wrapped__``
-keeps the original ``_RuleInterpreter``.  For random input assignments the
-two must produce the same value or raise the same class of error.
+named constant -- plus a random query ``where`` clause over the same class.
+Every body the compiler emits -- the rule, the query's predicate and each
+sarg's residual -- is a :class:`CompiledBody`; the test-side
+:class:`~tests.references.ReferenceInterpreter` built from the same
+resolution is the oracle.  For random input assignments the two must
+produce the same value or raise the same class of error, and the planned
+query must answer what the full scan answers.
 
-Whole databases running on interpreter bodies are covered by
+Whole databases running on reference-interpreted bodies are covered by
 ``tests/evaluation/test_reference_oracles.py``.
 """
 
@@ -17,8 +20,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.references import ReferenceInterpreter
+
 from repro.compile import CompiledBody
-from repro.dsl import compile_schema
+from repro.core.database import Database
+from repro.dsl import compile_query, compile_schema
 from repro.errors import DslRuntimeError
 
 FUNCTIONS = {"dbl": lambda v: 2 * v + 1}
@@ -112,6 +118,17 @@ def _bodies(draw):
     return f"begin {decls} {' '.join(stmts)} end"
 
 
+_sarg = st.tuples(
+    st.sampled_from(["x", "y"]),
+    st.sampled_from(["==", "<", "<=", ">", ">="]),
+    _num,
+    st.booleans(),
+).map(lambda t: f"{t[2]} {t[1]} {t[0]}" if t[3] else f"{t[0]} {t[1]} {t[2]}")
+
+#: a ``where`` clause: 1-3 top-level conjuncts, sargable or not.
+_wheres = st.lists(_sarg | _exprs(()), min_size=1, max_size=3).map(" and ".join)
+
+
 def _outcome(fn, kwargs):
     try:
         return ("value", fn(**kwargs))
@@ -123,34 +140,10 @@ def _outcome(fn, kwargs):
         return ("zero_division", None)
 
 
-@given(
-    body=_bodies(),
-    x=st.integers(min_value=-50, max_value=50),
-    y=st.integers(min_value=-50, max_value=50),
-    fan=st.lists(
-        st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=3
-    ),
-    one=st.integers(min_value=-9, max_value=9),
-    dangling=st.booleans(),
-)
-@settings(max_examples=150, deadline=None)
-def test_compiled_body_equals_interpreter(body, x, y, fan, one, dangling):
-    schema = compile_schema(
-        SCHEMA_TEMPLATE.format(body=body),
-        functions=FUNCTIONS,
-        constants=CONSTANTS,
-    )
-    rule = next(
-        r
-        for r in schema.resolved("c").rules
-        if getattr(r.target, "attr", None) == "d"
-    )
-    compiled = rule.body
-    assert isinstance(compiled, CompiledBody), f"declined: {body!r}"
-    interpreter = compiled.__wrapped__
-
+def _inputs(declared, x, y, fan, one, dangling):
+    """Keyword arguments for a body's declared inputs."""
     kwargs = {}
-    for kw in rule.inputs:
+    for kw in declared:
         if kw == "l_x":
             kwargs[kw] = x
         elif kw == "l_y":
@@ -165,5 +158,63 @@ def test_compiled_body_equals_interpreter(body, x, y, fan, one, dangling):
             kwargs[kw] = 0 if dangling else one
         else:  # pragma: no cover - fixed schema shape
             raise AssertionError(f"unexpected input {kw}")
+    return kwargs
 
-    assert _outcome(compiled, kwargs) == _outcome(interpreter, kwargs)
+
+@given(
+    body=_bodies(),
+    where=_wheres,
+    x=st.integers(min_value=-50, max_value=50),
+    y=st.integers(min_value=-50, max_value=50),
+    fan=st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=3
+    ),
+    one=st.integers(min_value=-9, max_value=9),
+    dangling=st.booleans(),
+    rows=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_body_equals_interpreter(
+    body, where, x, y, fan, one, dangling, rows
+):
+    schema = compile_schema(
+        SCHEMA_TEMPLATE.format(body=body),
+        functions=FUNCTIONS,
+        constants=CONSTANTS,
+        freeze=False,
+    )
+    schema.add_index("c", "x")
+    schema.add_index("c", "y")
+    schema.freeze()
+    rule = next(
+        r
+        for r in schema.resolved("c").rules
+        if getattr(r.target, "attr", None) == "d"
+    )
+    compiled = rule.body
+    assert isinstance(compiled, CompiledBody), body
+    kwargs = _inputs(rule.inputs, x, y, fan, one, dangling)
+    reference = ReferenceInterpreter(compiled, schema.atoms)
+    assert _outcome(compiled, kwargs) == _outcome(reference, kwargs)
+
+    query = compile_query(
+        schema, f"select c where {where}", functions=FUNCTIONS, constants=CONSTANTS
+    )
+    predicates = [query.predicate] + [
+        sarg.residual for sarg in query.sargs if sarg.residual is not None
+    ]
+    for predicate in predicates:
+        compiled = predicate.fn
+        assert isinstance(compiled, CompiledBody), where
+        kwargs = _inputs(predicate.inputs, x, y, fan, one, dangling)
+        reference = ReferenceInterpreter(compiled, schema.atoms, predicate=True)
+        assert _outcome(compiled, kwargs) == _outcome(reference, kwargs)
+
+    db = Database(schema)
+    for a, b in rows:
+        db.create("c", x=a, y=b)
+    try:
+        expected = query.run_scan(db)
+    except (DslRuntimeError, ArithmeticError, TypeError):
+        return  # the scan evaluates every conjunct the index path skips
+    assert query.run(db) == expected

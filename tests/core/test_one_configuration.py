@@ -8,9 +8,13 @@ full-recompute engines -- are references in ``tests/references.py``, and
 every engine a ``Database`` can hold is an ``IncrementalEngine``, so
 ``src/`` never probes one for a missing method.  Engine work has one form,
 the ``(kind, slot, extra)`` tuple, scheduled one way and run by one runner.
-This guard, in the style of ``test_no_environment_reads.py`` and
+A DSL body has one backend: it is a generated closure (``CompiledBody``)
+from the moment it is compiled from source -- the tree-walking interpreter
+is a test-side reference, and nothing is swapped at freeze.  This guard,
+in the style of ``test_no_environment_reads.py`` and
 ``test_single_structure.py``, fails when a switch, a probe, a second form
-of work, the baselines package or the second benchmark tree comes back.
+of work, a second rule backend, the baselines package or the second
+benchmark tree comes back.
 """
 
 import ast
@@ -18,7 +22,9 @@ import inspect
 import pathlib
 
 import repro
+from repro.compile import CompiledBody
 from repro.core.database import Database
+from repro.dsl import compile_query, compile_schema
 from repro.evaluation.engine import IncrementalEngine
 from repro.evaluation.scheduler import ChunkScheduler
 
@@ -59,6 +65,30 @@ RETIRED = {
     "_lifo",
     "resolved_inputs",
 }
+
+
+#: the second rule backend and its swap, decline and unwrap machinery: not
+#: an identifier in ``src/``.
+RETIRED_BACKEND = {
+    "_RuleInterpreter",
+    "_booleanize",
+    "Unsupported",
+    "compile_frozen_schema",
+    "__wrapped__",
+}
+
+#: a schema with a rule, a constraint and a membership predicate.
+BODIES_SRC = """
+object class task is
+  attributes effort : integer; budget : integer; slack : integer;
+  rules slack = budget - effort;
+  constraints fits : effort <= budget + 100;
+end;
+object class big_task subtype of task where effort > 10 is
+  attributes flag : boolean;
+  rules flag = effort > 20;
+end;
+"""
 
 
 def _modules():
@@ -182,3 +212,62 @@ def test_work_modules_carry_no_closure_and_no_catch_all():
 def test_references_and_the_second_harness_stay_out_of_the_tree():
     assert not (SRC / "baselines").exists()
     assert not (REPO / "benchmarks").exists()
+
+
+def test_no_second_rule_backend_is_an_identifier():
+    offenders = sorted(
+        f"{module}: {name}"
+        for module, tree in _modules()
+        for name in _names(tree) & RETIRED_BACKEND
+    )
+    assert not offenders, f"a second rule backend is back: {offenders}"
+
+
+def _dsl_bodies(schema):
+    for cls in schema.classes.values():
+        for rule in cls.rules:
+            yield rule.name, rule.body
+        for constraint in cls.constraints:
+            yield constraint.name, constraint.predicate
+        if cls.predicate is not None:
+            yield cls.name, cls.predicate.predicate
+
+
+def test_every_dsl_body_is_compiled_from_source():
+    for freeze in (False, True):
+        schema = compile_schema(BODIES_SRC, freeze=freeze)
+        bodies = dict(_dsl_bodies(schema))
+        assert sorted(bodies) == ["big_task", "big_task.flag", "fits", "task.slack"]
+        if freeze:  # the resolved rules, synthetic ones included (none fold)
+            bodies.update(
+                (rule.name, rule.body)
+                for name in schema.classes
+                for rule in schema.resolved(name).rules
+            )
+            assert len(bodies) == 6
+        offenders = [
+            name for name, body in bodies.items() if not isinstance(body, CompiledBody)
+        ]
+        assert not offenders, (freeze, offenders)
+    query = compile_query(
+        schema, "select task where effort == 3 and budget > 1 and slack < 9"
+    )
+    bodies = [query.predicate.fn] + [sarg.residual.fn for sarg in query.sargs]
+    assert len(bodies) == 4
+    assert all(isinstance(body, CompiledBody) for body in bodies)
+
+
+def test_freeze_compiles_nothing():
+    schema = compile_schema(BODIES_SRC, freeze=False)
+    before = {name: id(body) for name, body in _dsl_bodies(schema)}
+    stats = dict(schema.compile_stats)
+    schema.freeze()
+    assert {name: id(body) for name, body in _dsl_bodies(schema)} == before
+    for key, value in stats.items():
+        assert schema.compile_stats[key] == value, key
+
+
+def test_no_fallback_metric():
+    flat = Database(compile_schema(BODIES_SRC)).metrics().flatten()
+    assert "compile.rules_compiled" in flat
+    assert "compile.fallbacks" not in flat

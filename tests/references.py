@@ -1,8 +1,8 @@
 """Test-side references for the engine's single code path.
 
-The engine has one traversal (slot plans), one body executor per rule
-(compiled when the generator accepts it), and one freeze pipeline
-(analyze, fold, compile).  What each is checked against lives here, on
+The engine has one traversal (slot plans), one backend for DSL bodies
+(closures generated when a body is compiled from source), and one freeze
+pipeline (analyze, fold).  What each is checked against lives here, on
 the test side, instead of behind a switch in ``src/``:
 
 * **values** -- :func:`full_recompute_db`, a database whose engine
@@ -21,14 +21,17 @@ the test side, instead of behind a switch in ``src/``:
 * **marking counters** -- :class:`MarkingOracle`, which holds the first
   wave of every operation to the paper's ``Could_Change`` bound computed
   on that reference graph;
-* **compiled bodies** -- :func:`interpreted`, which swaps every
-  :class:`CompiledBody` back to the interpreter it wraps;
+* **compiled bodies** -- :class:`ReferenceInterpreter`, a tree walker
+  over a body's resolution that spells out the DSL's semantics, and
+  :func:`interpreted`, which swaps every :class:`CompiledBody` of a schema
+  for it;
 * **folded predicates** -- :func:`unfolded`, which freezes schemas
   without analysis facts so nothing is folded.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, deque
 from contextlib import nullcontext
 from functools import partial
@@ -45,8 +48,14 @@ from repro.core.rules import (
     is_subtype_attr,
 )
 from repro.core.slots import Slot, transmit_slot
-from repro.dsl.compiler import _booleanize
-from repro.errors import CactisError, CycleError, RuleEvaluationError
+from repro.dsl import ast
+from repro.dsl.resolve import Attr, Const, Recv, Var
+from repro.errors import (
+    CactisError,
+    CycleError,
+    DslRuntimeError,
+    RuleEvaluationError,
+)
 from repro.evaluation.engine import IncrementalEngine
 from repro.evaluation.scheduler import ChunkScheduler
 from repro.graph.cycles import find_cycle
@@ -54,22 +63,138 @@ from repro.graph.depgraph import could_change
 from repro.obs.events import SlotEvaluated, WaveEnd, WaveStart
 
 
+def _div(left, right):
+    """DSL division: C-style integer division when both operands are ints."""
+    if isinstance(left, int) and isinstance(right, int):
+        return left // right
+    return left / right
+
+
+#: the strict binary operators (``and``/``or`` short-circuit apart).
+BINARY_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": operator.mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+class _Return(Exception):
+    """Control flow for ``return`` statements."""
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+
+class ReferenceInterpreter:
+    """The DSL's semantics as a tree walker over a compiled body's resolution.
+
+    Dispatches on AST node type on every call, reading each name through
+    the binding :mod:`repro.dsl.resolve` gave it -- the reference every
+    :class:`CompiledBody` closure is checked against.  ``predicate``
+    coerces the result to a bool, as constraint, membership and query
+    bodies do.
+    """
+
+    def __init__(self, compiled: CompiledBody, atoms, predicate: bool = False) -> None:
+        self.resolution = compiled.resolution
+        self.functions = compiled.functions
+        self.constants = compiled.constants
+        self.atoms = atoms
+        self.predicate = predicate
+        self.__name__ = compiled.__name__
+
+    def __call__(self, **kwargs: Any) -> Any:
+        value = self._run(kwargs)
+        return bool(value) if self.predicate else value
+
+    def _run(self, kwargs: dict[str, Any]) -> Any:
+        env = (kwargs, {}, {})  # inputs, variables, loop depth -> index
+        body = self.resolution.body
+        if not isinstance(body, ast.Block):
+            return self._eval(body, env)
+        try:
+            self._exec_stmts(body.body, env)
+        except _Return as signal:
+            return signal.value
+        raise DslRuntimeError("rule body finished without a return statement")
+
+    def _exec_stmts(self, stmts, env) -> None:
+        for stmt in stmts:
+            self._exec(stmt, env)
+
+    def _exec(self, stmt: ast.Stmt, env) -> None:
+        kwargs, variables, index = env
+        if isinstance(stmt, ast.VarDecl):
+            variables[stmt.name] = self.atoms.get(stmt.type_name).default
+        elif isinstance(stmt, ast.Assign):
+            variables[stmt.name] = self._eval(stmt.value, env)
+        elif isinstance(stmt, ast.ForEach):
+            loop = self.resolution.refs[id(stmt)]
+            for i in range(len(kwargs[loop.kw])):
+                index[loop.depth] = i
+                self._exec_stmts(stmt.body, env)
+        elif isinstance(stmt, ast.If):
+            if self._eval(stmt.cond, env):
+                self._exec_stmts(stmt.then_body, env)
+            else:
+                self._exec_stmts(stmt.else_body, env)
+        elif isinstance(stmt, ast.Return):
+            raise _Return(self._eval(stmt.value, env))
+        else:  # ExprStmt
+            self._eval(stmt.value, env)
+
+    def _eval(self, expr: ast.Expr, env) -> Any:
+        kwargs, variables, index = env
+        if isinstance(expr, ast.Literal):
+            return expr.value
+        if isinstance(expr, ast.Call):
+            return self.functions[expr.fn](*[self._eval(a, env) for a in expr.args])
+        if isinstance(expr, ast.Unary):
+            operand = self._eval(expr.operand, env)
+            return (not operand) if expr.op == "not" else -operand
+        if isinstance(expr, ast.Binary):
+            if expr.op == "and":
+                return bool(self._eval(expr.left, env)) and bool(self._eval(expr.right, env))
+            if expr.op == "or":
+                return bool(self._eval(expr.left, env)) or bool(self._eval(expr.right, env))
+            return BINARY_OPS[expr.op](self._eval(expr.left, env), self._eval(expr.right, env))
+        ref = self.resolution.refs[id(expr)]
+        if isinstance(ref, Var):
+            if ref.name in variables:
+                return variables[ref.name]
+            ref = self.resolution.variables[ref.name]
+        if isinstance(ref, Attr):
+            return kwargs[ref.kw]
+        if isinstance(ref, Const):
+            return self.constants[ref.name]
+        if isinstance(ref, Recv):
+            value = kwargs[ref.kw]
+            return value if ref.depth is None else value[index[ref.depth]]
+        raise DslRuntimeError(f"unbound name {expr!r}")
+
+
 def interpreted(schema):
-    """Undo the freeze-time compile pass on a frozen schema, in place.
+    """Run a frozen schema's DSL bodies on the reference interpreter, in place.
 
     Every :class:`CompiledBody` -- resolved rules and the raw constraint /
-    subtype predicates -- goes back to its ``__wrapped__`` interpreter
-    (predicates behind the same bool coercion the DSL compiler applies).
-    Call before building a :class:`Database`; a later ``extend_schema``
-    re-freezes and compiles again.
+    subtype predicates -- becomes a :class:`ReferenceInterpreter` built from
+    its resolution (predicates coerced to bool).  Call before building a
+    :class:`Database`.
     """
 
     def swap(holder, attr, predicate):
         body = getattr(holder, attr)
         if isinstance(body, CompiledBody):
-            interp = body.__wrapped__
             object.__setattr__(
-                holder, attr, _booleanize(interp) if predicate else interp
+                holder, attr, ReferenceInterpreter(body, schema.atoms, predicate)
             )
 
     for resolved in schema._resolved.values():
