@@ -29,11 +29,14 @@ the constraint / subtype callbacks from the engine.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.instance import Connection, Instance
 from repro.core.rules import (
     Constraint,
+    Input,
+    Local,
+    Received,
     Rule,
     constraint_name_of,
     is_constraint_attr,
@@ -542,10 +545,30 @@ class Database:
             self.engine.forget_slot(slot)
             self._unchecked_constraints.discard(slot)
         self.storage.remove(iid)
-        self.usage.forget_instance(iid, peer_keys)
+        self.usage.forget_instance(
+            iid, self._ports_ever(instance.class_name), peer_keys
+        )
         self.slot_plans.invalidate_instance(iid)
         self.indexes.note_delete(iid, instance)
         del self._catalog[iid]
+
+    def _ports_ever(self, class_name: str) -> set[str]:
+        """Every port an instance of ``class_name`` can have carried.
+
+        Its class's ports and those of every predicate subtype it may have
+        joined (transitively): usage statistics are keyed by them.
+        """
+        ports: set[str] = set()
+        seen = {class_name}
+        todo = [class_name]
+        while todo:
+            resolved = self.schema.resolved(todo.pop())
+            ports.update(resolved.ports)
+            for sub in resolved.predicate_subtypes:
+                if sub not in seen:
+                    seen.add(sub)
+                    todo.append(sub)
+        return ports
 
     def connect(self, iid_a: int, port_a: str, iid_b: int, port_b: str) -> None:
         """Establish a relationship between two instances' ports."""
@@ -978,17 +1001,94 @@ class Database:
         """Instances of a class satisfying a combinator predicate.
 
         ``predicate`` is a :class:`repro.core.predicates.Predicate`; its
-        declared inputs are resolved against each candidate instance (see
-        :meth:`~repro.core.predicates.Predicate.on_view`).
+        declared inputs are read for every candidate through
+        :meth:`read_inputs` (see
+        :meth:`~repro.core.predicates.Predicate.select`).
         """
-        return [
-            iid
-            for iid in self.instances_of(class_name)
-            if predicate.on_view(InstanceView(self, iid))
-        ]
+        return predicate.select(self, self.instances_of(class_name))
 
     def view(self, iid: int) -> "InstanceView":
         return InstanceView(self, iid)
+
+    # -- the query read path ---------------------------------------------------
+
+    def read_inputs(
+        self, iids: list[int], inputs: Sequence[Input]
+    ) -> Iterator[list[Any]]:
+        """Yield each candidate's values for ``inputs``: a query's read path.
+
+        A query is one demand over many slots (section 2.2).  Each
+        candidate's record is touched once and its clean values are read
+        straight from the stored slots; only a slot that is out of date
+        (or was never evaluated) at the moment of its read goes to the
+        engine, which evaluates it at most once -- so a query evaluates
+        exactly what reading every input through ``get_attr`` would, in
+        the same order, without paying that call chain per input.
+        ``Received`` values come through :meth:`get_transmitted`.  A read
+        the direct path cannot resolve takes ``get_attr``'s checks, so
+        errors are the same.  One demand is counted per slot served.  Rows
+        are yielded lazily: the caller's work on one candidate (a
+        ``where`` body) runs before the next candidate is read.
+        """
+        engine = self.engine
+        catalog = self._catalog
+        plan_of = self.slot_plans.plan_of
+        marked = engine.out_of_date
+        counters = engine.counters
+        touch = self.storage.touch
+        # Local inputs by attribute name; anything else by declaration.
+        reads = [
+            (decl.attr, None) if isinstance(decl, Local) else (None, decl)
+            for decl in inputs
+        ]
+        engine.settle_marks()
+        for iid in iids:
+            instance = catalog.get(iid)
+            if instance is None:
+                self.instance(iid)  # raises UnknownInstanceError
+            attributes = plan_of(iid).attributes
+            attrs = instance.attrs
+            touched = False
+            row: list[Any] = []
+            for name, decl in reads:
+                if name is None:
+                    if isinstance(decl, Received):
+                        row.append(self._received_input(iid, instance, decl))
+                    else:  # SelfRef
+                        row.append(iid)
+                    continue
+                if name not in attributes:
+                    self._readable_slot(iid, name)  # raises unless special
+                value = attrs.get(name, _MISSING)
+                if value is _MISSING or (iid, name) in marked:
+                    value = engine.demand((iid, name))
+                    # Evaluating it can flip a subtype; inside a batch the
+                    # flip's re-marking is deferred and must land before
+                    # the next direct read.
+                    engine.settle_marks()
+                else:
+                    counters.demands += 1
+                    if not touched:
+                        touch(iid)
+                        touched = True
+                row.append(value)
+            yield row
+
+    def _received_input(self, iid: int, instance: Instance, decl: Received) -> Any:
+        """A ``Received`` input: the list on a multi port, else one value.
+
+        Each value comes through :meth:`get_transmitted` (a dangling single
+        port reads the flow default), as the per-view reference reads it.
+        """
+        port_def = self._port_def(iid, decl.port)
+        values = [
+            self.get_transmitted(conn.peer, conn.peer_port, decl.value)
+            for conn in instance.connections_on(decl.port)
+        ]
+        self.engine.settle_marks()  # see read_inputs
+        if port_def.multi:
+            return values
+        return values[0] if values else self._flow_default(iid, decl.port, decl.value)
 
     # ------------------------------------------------------------------
     # schema extension / reorganisation
@@ -1034,6 +1134,10 @@ class Database:
             stale.extend((iid, name) for name in plan.rule_for)
         if stale:
             self.engine.invalidate_derived(stale)
+
+    def peers(self, iid: int, port: str) -> list[int]:
+        """The instances connected on ``port``, in connection order."""
+        return [conn.peer for conn in self.instance(iid).connections_on(port)]
 
     def neighbors(self, iid: int) -> list[tuple[str, int]]:
         """Connection oracle used by the clustering algorithm."""
@@ -1250,7 +1354,7 @@ class InstanceView:
         return set(self._db.instance(self.iid).active_subtypes)
 
     def connections(self, port: str) -> list[int]:
-        return [c.peer for c in self._db.instance(self.iid).connections_on(port)]
+        return self._db.peers(self.iid, port)
 
     def __repr__(self) -> str:
         return f"InstanceView(iid={self.iid}, class={self.class_name!r})"

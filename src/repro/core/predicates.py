@@ -13,8 +13,12 @@ predicates without writing rule plumbing by hand:
   (:meth:`Predicate.as_subtype`) or a
   :class:`~repro.core.rules.Constraint` (:meth:`Predicate.as_constraint`),
   with the input declarations merged automatically;
-* direct use in queries through :meth:`repro.core.database.Database.where`
-  via :meth:`Predicate.on_view`.
+* direct use in queries: :meth:`Predicate.select` filters a candidate
+  list through the database's query read path
+  (:meth:`repro.core.database.Database.read_inputs`), and
+  :meth:`Predicate.on_view` evaluates against one
+  :class:`~repro.core.database.InstanceView` -- the naive per-view
+  reference that :meth:`repro.dsl.query.Query.run_scan` keeps.
 """
 
 from __future__ import annotations
@@ -102,6 +106,27 @@ class Predicate:
 
         predicate.__name__ = self.description.replace(" ", "_")[:40] or "predicate"
         return predicate
+
+    def select(self, db, candidates: list[int]) -> list[int]:
+        """The candidates satisfying the predicate, in order (queries).
+
+        Inputs come from :meth:`~repro.core.database.Database.read_inputs`
+        -- clean slots read directly, out-of-date ones demanded -- and a
+        compiled body runs through its positional closure.  The truth test
+        is ``bool()``'s, as in :meth:`_call`.
+        """
+        # Imported lazily: repro.compile reaches repro.dsl, which imports us.
+        from repro.compile.codegen import CompiledBody
+
+        rows = db.read_inputs(candidates, tuple(self.inputs.values()))
+        fn = self.fn
+        if isinstance(fn, CompiledBody) and fn.kwnames == tuple(self.inputs):
+            body = fn.fn
+            return [iid for iid, row in zip(candidates, rows) if body(*row)]
+        keys = tuple(self.inputs)
+        return [
+            iid for iid, row in zip(candidates, rows) if fn(**dict(zip(keys, row)))
+        ]
 
     def on_view(self, view) -> bool:
         """Evaluate directly against an :class:`InstanceView` (queries).

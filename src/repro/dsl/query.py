@@ -5,9 +5,11 @@ queries ("all the late milestones").  This module adds them without new
 machinery: the ``where`` clause is an ordinary data-language expression
 compiled by the schema compiler into the same kind of closure as a rule
 body, packaged as a :class:`~repro.core.predicates.Predicate`, and
-evaluated per candidate
-instance (derived attributes are demanded through the incremental engine
-as a side effect, so queries always see consistent values).
+evaluated per candidate instance over the values
+:meth:`~repro.core.database.Database.read_inputs` reads: one touch per
+candidate, clean slots straight from storage, and out-of-date ones
+demanded through the incremental engine, so queries always see
+consistent values.
 
 Grammar::
 
@@ -34,8 +36,9 @@ conjuncts compiled as its residual predicate.  At run time
 model (:class:`repro.analysis.facts.CostModel`) and the live structures
 of :class:`repro.index.IndexManager`:
 
-* **scan** -- the reference path (:meth:`Query.run_scan`): filter every
-  instance of the class, stable-sort, slice.
+* **scan** -- filter every instance of the class, stable-sort, slice.
+  :meth:`Query.run_scan` is the same algorithm over views and
+  ``get_attr``: the independent reference every path is checked against.
 * **extent** -- a predicate-subtype ``select`` answered from the
   maintained member set instead of an ``is_member`` probe per instance.
 * **index_eq** / **index_range** -- an equality or range sarg answered
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.predicates import Predicate
-from repro.core.rules import NATIVE_OPS, subtype_attr_name
+from repro.core.rules import NATIVE_OPS, Local, subtype_attr_name
 from repro.dsl import ast
 from repro.dsl.compiler import SchemaCompiler
 from repro.dsl.parser import Parser
@@ -114,7 +117,11 @@ class Query:
         return self.plan(db).execute()
 
     def run_scan(self, db: "Database") -> list[int]:
-        """The naive full-scan reference path (what :meth:`run` A/Bs against)."""
+        """The naive full-scan reference path (what :meth:`run` A/Bs against).
+
+        Independent of the planner's read path: every input and order key
+        goes through a view and ``get_attr``, one slot at a time.
+        """
         candidates = db.instances_of(self.class_name)
         if self.predicate is not None:
             candidates = [
@@ -122,6 +129,16 @@ class Query:
                 for iid in candidates
                 if self.predicate.on_view(db.view(iid))
             ]
+        if self.order_by is not None and candidates:
+            keys = {iid: db.get_attr(iid, self.order_by) for iid in candidates}
+            self._sort(candidates, keys)
+        return self._limit(candidates)
+
+    def _scan(self, db: "Database") -> list[int]:
+        """The ``scan`` access path: :meth:`run_scan` over the read path."""
+        candidates = db.instances_of(self.class_name)
+        if self.predicate is not None:
+            candidates = self.predicate.select(db, candidates)
         return self._order_and_limit(db, candidates)
 
     # ------------------------------------------------------------------
@@ -146,8 +163,6 @@ class Query:
         def pred_ops(predicate: Predicate | None) -> int:
             if predicate is None:
                 return 0
-            from repro.core.rules import Local
-
             ops = 1
             for decl in predicate.inputs.values():
                 if isinstance(decl, Local):
@@ -253,24 +268,30 @@ class Query:
     # ------------------------------------------------------------------
 
     def _order_and_limit(self, db: "Database", candidates: list[int]) -> list[int]:
+        """Sort by the order key, read for every candidate in one pass."""
         if self.order_by is not None and candidates:
-            attr = self.order_by
-            keys: dict[int, Any] = {}
-            for iid in candidates:
-                keys[iid] = db.get_attr(iid, attr)
-            self._check_orderable(candidates, keys, attr)
-            try:
-                candidates.sort(key=keys.__getitem__, reverse=self.descending)
-            except TypeError as exc:
-                # Same type group but still incomparable (exotic values).
-                raise QueryError(
-                    f"cannot order by attribute {attr!r}: values are not "
-                    f"mutually comparable ({exc})",
-                    attr=attr,
-                ) from None
+            rows = db.read_inputs(candidates, (Local(self.order_by),))
+            keys = {iid: row[0] for iid, row in zip(candidates, rows)}
+            self._sort(candidates, keys)
+        return self._limit(candidates)
+
+    def _limit(self, candidates: list[int]) -> list[int]:
         if self.limit is not None:
             candidates = candidates[: self.limit]
         return candidates
+
+    def _sort(self, candidates: list[int], keys: dict[int, Any]) -> None:
+        attr = self.order_by
+        self._check_orderable(candidates, keys, attr)
+        try:
+            candidates.sort(key=keys.__getitem__, reverse=self.descending)
+        except TypeError as exc:
+            # Same type group but still incomparable (exotic values).
+            raise QueryError(
+                f"cannot order by attribute {attr!r}: values are not "
+                f"mutually comparable ({exc})",
+                attr=attr,
+            ) from None
 
     def _check_orderable(
         self, candidates: list[int], keys: dict[int, Any], attr: str
@@ -331,7 +352,7 @@ class QueryPlan:
                 mgr.stats.queries += 1
                 mgr.stats.scan_queries += 1
             self._emit(db, "scan")
-            return query.run_scan(db)
+            return query._scan(db)
         mgr.stats.queries += 1
         if self.access_path == "extent":
             mgr.stats.extent_queries += 1
@@ -385,11 +406,7 @@ class QueryPlan:
             mgr.refresh_extent(extent)
             candidates = sorted(extent.members)
             if query.predicate is not None:
-                candidates = [
-                    iid
-                    for iid in candidates
-                    if query.predicate.on_view(db.view(iid))
-                ]
+                candidates = query.predicate.select(db, candidates)
             return query._order_and_limit(db, candidates)
 
         index = self.index
@@ -413,15 +430,13 @@ class QueryPlan:
                 iids = index.range(sarg.op, sarg.value)
             candidates = [iid for iid in iids if allowed(iid)]
             if sarg.residual is not None:
-                candidates = [
-                    iid
-                    for iid in candidates
-                    if sarg.residual.on_view(db.view(iid))
-                ]
+                candidates = sarg.residual.select(db, candidates)
             return query._order_and_limit(db, candidates)
 
         # index_order: walk keys in order; buckets keep ascending iids, so
-        # equal keys reproduce the stable sort's tie order exactly.
+        # equal keys reproduce the stable sort's tie order exactly.  The
+        # filter reads one candidate at a time, so a limit short-circuits
+        # the walk before later candidates' inputs are evaluated.
         group = index.single_group()
         if group not in ("num", "str"):
             return _FALLBACK
@@ -432,7 +447,7 @@ class QueryPlan:
             for iid in index.buckets[key]:
                 if not allowed(iid):
                     continue
-                if predicate is not None and not predicate.on_view(db.view(iid)):
+                if predicate is not None and not predicate.select(db, [iid]):
                     continue
                 result.append(iid)
                 if limit is not None and len(result) == limit:

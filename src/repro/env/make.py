@@ -240,7 +240,7 @@ class MakeFacility:
                     f"{self.db.get_attr(iid, 'file_name')!r}"
                 )
             visiting.add(iid)
-            for dep in self.db.view(iid).connections("depends_on"):
+            for dep in self.db.peers(iid, "depends_on"):
                 visit(dep)
             if self.db.get_attr(iid, "needs_rebuild"):
                 command = self.db.get_attr(iid, "make_command")

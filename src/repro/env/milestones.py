@@ -167,7 +167,7 @@ class MilestoneManager:
         path = [name]
         current = self._iid(name)
         while True:
-            deps = self.db.view(current).connections("depends_on")
+            deps = self.db.peers(current, "depends_on")
             if not deps:
                 return list(reversed(path))
             latest = max(deps, key=lambda d: (self.db.get_attr(d, "exp_compl"), -d))

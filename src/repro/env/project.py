@@ -138,7 +138,7 @@ class ProjectDatabase:
     def move_component(self, name: str, new_parent: str | None) -> None:
         """Re-parent a component; rollups adjust on both sides."""
         iid = self._cid(name)
-        for peer in self.db.view(iid).connections("part_of"):
+        for peer in self.db.peers(iid, "part_of"):
             self.db.disconnect(iid, "part_of", peer, "parts")
         if new_parent is not None:
             self.db.connect(iid, "part_of", self._cid(new_parent), "parts")

@@ -208,7 +208,7 @@ class ExpressionTree:
 
     def replace_child(self, node: int, old_child: int, new_child: int) -> None:
         """Structural edit: swap a subtree, preserving operand order."""
-        children = self.db.view(node).connections("children")
+        children = self.db.peers(node, "children")
         if old_child not in children:
             raise SynTreeError(f"{old_child} is not a child of {node}")
         index = children.index(old_child)

@@ -456,6 +456,16 @@ class IncrementalEngine:
         if self._pending:
             self._raise_cycle()
 
+    def settle_marks(self) -> None:
+        """Make the out-of-date marks current without evaluating anything.
+
+        Inside a batch, marking is deferred; a reader about to take clean
+        values straight from storage (the query read path) calls this
+        first, as :meth:`demand` does for its one slot.
+        """
+        if self._batch_depth:
+            self._flush_batch_marks()
+
     def evaluate_all_out_of_date(self) -> None:
         """Force every marked slot clean (maintenance; commit-time audits)."""
         # Iterate to a fixed point: evaluating subtype predicates can flip

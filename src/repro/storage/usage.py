@@ -105,23 +105,23 @@ class UsageStats:
         self.worst_case[(iid, port)] = estimate
 
     def forget_instance(
-        self, iid: int, peer_keys: Iterable[RelKey] = ()
+        self, iid: int, ports: Iterable[str], peer_keys: Iterable[RelKey] = ()
     ) -> None:
         """Drop all statistics mentioning a deleted instance.
 
-        ``peer_keys`` names the ``(peer, port)`` ends of the deleted
-        instance's former connections; their crossing counts (and predictors)
-        pointed *at* the deleted instance, so leaving them alive would weight
-        clustering and scheduling decisions with ghost relationships.
+        Every key is a ``(instance, port)`` pair, so only the instance's own
+        ``ports`` (every port it could have carried) and ``peer_keys`` can
+        name it: the cost is that many probes, not a scan of every tracked
+        relationship.  ``peer_keys`` names the ``(peer, port)`` ends of the
+        deleted instance's former connections; their crossing counts (and
+        predictors) pointed *at* the deleted instance, so leaving them alive
+        would weight clustering and scheduling decisions with ghost
+        relationships.
         """
         self.instance_accesses.pop(iid, None)
-        for key in [k for k in self.relationship_crossings if k[0] == iid]:
-            del self.relationship_crossings[key]
-        for key in [k for k in self._averages if k[0] == iid]:
-            del self._averages[key]
-        for key in [k for k in self.worst_case if k[0] == iid]:
-            del self.worst_case[key]
-        for key in peer_keys:
+        keys = [(iid, port) for port in ports]
+        keys.extend(peer_keys)
+        for key in keys:
             self.relationship_crossings.pop(key, None)
             self._averages.pop(key, None)
             self.worst_case.pop(key, None)

@@ -189,11 +189,11 @@ class DeltaCatalog:
 
     def description_report(self, description_iid: int) -> dict:
         """The aggregated metadata of one change description."""
-        view = self.db.view(description_iid)
+        db, iid = self.db, description_iid
         return {
-            "title": view["title"],
-            "author": view["author"],
-            "deltas": len(view.connections("covers")),
-            "total_records": view["total_records"],
-            "total_bytes": view["total_bytes"],
+            "title": db.get_attr(iid, "title"),
+            "author": db.get_attr(iid, "author"),
+            "deltas": len(db.peers(iid, "covers")),
+            "total_records": db.get_attr(iid, "total_records"),
+            "total_bytes": db.get_attr(iid, "total_bytes"),
         }

@@ -3,19 +3,24 @@
 Hypothesis generates random (but compilable) DSL rule bodies over a fixed
 class shape -- two integer attributes, a multi port (``For Each`` coverage),
 a single port (dangling-default coverage), a registered function, and a
-named constant -- plus a random query ``where`` clause over the same class.
+named constant -- plus a random query ``where`` clause over the same class,
+whose inputs include a received value (``one.t``, from a wired or a
+dangling port) and, drawn separately, a ``SelfRef`` conjunct.
 Every body the compiler emits -- the rule, the query's predicate and each
 sarg's residual -- is a :class:`CompiledBody`; the test-side
 :class:`~tests.references.ReferenceInterpreter` built from the same
 resolution is the oracle.  For random input assignments the two must
 produce the same value or raise the same class of error, and the planned
-query must answer what the full scan answers.
+query (which reads its inputs through ``Database.read_inputs``) must answer
+what the per-view full scan answers.
 
 Whole databases running on reference-interpreted bodies are covered by
 ``tests/evaluation/test_reference_oracles.py``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +29,8 @@ from tests.references import ReferenceInterpreter
 
 from repro.compile import CompiledBody
 from repro.core.database import Database
+from repro.core.predicates import Predicate
+from repro.core.rules import SelfRef
 from repro.dsl import compile_query, compile_schema
 from repro.errors import DslRuntimeError
 
@@ -45,6 +52,14 @@ object class c is
     d : integer;
   rules
     d = {body};
+end;
+object class s is
+  relationships
+    out : dep multi plug;
+  attributes
+    z : integer;
+  rules
+    out t = z * 2;
 end;
 """
 
@@ -125,8 +140,33 @@ _sarg = st.tuples(
     st.booleans(),
 ).map(lambda t: f"{t[2]} {t[1]} {t[0]}" if t[3] else f"{t[0]} {t[1]} {t[2]}")
 
+#: a conjunct over a received value (a transmit slot, or the flow default).
+_received = st.tuples(
+    st.sampled_from(["==", "<", ">="]), _num
+).map(lambda t: f"one.t {t[0]} {t[1]}")
+
 #: a ``where`` clause: 1-3 top-level conjuncts, sargable or not.
-_wheres = st.lists(_sarg | _exprs(()), min_size=1, max_size=3).map(" and ".join)
+_wheres = st.lists(_sarg | _received | _exprs(()), min_size=1, max_size=3).map(
+    " and ".join
+)
+
+
+def _and_self_ref(query, modulus: int):
+    """``query`` with a ``SelfRef`` conjunct on its predicate and residuals.
+
+    The DSL has no way to name the instance id, so the conjunct is a
+    combinator predicate; the sargs' residuals get it too, so every access
+    path still answers the whole ``where``.
+    """
+    odd = Predicate({"me": SelfRef()}, lambda me: me % modulus != 0, "self")
+    return replace(
+        query,
+        predicate=query.predicate & odd,
+        sargs=tuple(
+            replace(s, residual=odd if s.residual is None else s.residual & odd)
+            for s in query.sargs
+        ),
+    )
 
 
 def _outcome(fn, kwargs):
@@ -171,11 +211,15 @@ def _inputs(declared, x, y, fan, one, dangling):
     ),
     one=st.integers(min_value=-9, max_value=9),
     dangling=st.booleans(),
-    rows=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=6),
+    rows=st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-1, 4)),
+        max_size=6,
+    ),
+    self_ref=st.sampled_from([None, 2, 3]),
 )
 @settings(max_examples=150, deadline=None)
 def test_compiled_body_equals_interpreter(
-    body, where, x, y, fan, one, dangling, rows
+    body, where, x, y, fan, one, dangling, rows, self_ref
 ):
     schema = compile_schema(
         SCHEMA_TEMPLATE.format(body=body),
@@ -210,9 +254,13 @@ def test_compiled_body_equals_interpreter(
         reference = ReferenceInterpreter(compiled, schema.atoms, predicate=True)
         assert _outcome(compiled, kwargs) == _outcome(reference, kwargs)
 
+    if self_ref is not None:
+        query = _and_self_ref(query, self_ref)
     db = Database(schema)
-    for a, b in rows:
-        db.create("c", x=a, y=b)
+    for a, b, z in rows:
+        iid = db.create("c", x=a, y=b)
+        if z >= 0:  # wire ``one`` to a producer; -1 leaves it dangling
+            db.connect(db.create("s", z=z), "out", iid, "one")
     try:
         expected = query.run_scan(db)
     except (DslRuntimeError, ArithmeticError, TypeError):

@@ -39,6 +39,16 @@ object class heavy_item subtype of item where score > 50 is
 end object;
 """
 
+#: unsargable derived conjuncts, and the access path each must take: the
+#: scan, or for a predicate subtype its extent -- both filter through the
+#: query read path that run_scan is independent of.
+UNSARGABLE = {
+    "select item where twice > score": "scan",
+    "select item where twice + score > 60 and not (bucket == 1) limit 3": "scan",
+    "select item where twice * 10 < score or bucket == 4": "scan",
+    "select heavy_item where twice + 40 < score": "extent",
+}
+
 QUERIES = [
     "select item",
     "select item where bucket == 2",
@@ -50,6 +60,7 @@ QUERIES = [
     "select item where twice == 4",
     "select heavy_item",
     "select heavy_item where bucket <= 2 order by score desc",
+    *UNSARGABLE,
 ]
 
 
@@ -94,6 +105,16 @@ def run_script(db, schema, ops):
     # Final sweep: every query in the battery agrees.
     for text in QUERIES:
         query = compile_query(schema, text)
+        assert query.run(db) == query.run_scan(db), text
+
+
+def test_unsargable_queries_take_the_scan_path():
+    db, schema = make_db()
+    for i in range(30):
+        db.create("item", bucket=i % 5, score=(i * 37) % 100)
+    for text, path in UNSARGABLE.items():
+        query = compile_query(schema, text)
+        assert query.plan(db).access_path == path, text
         assert query.run(db) == query.run_scan(db), text
 
 

@@ -152,7 +152,7 @@ class TestUsageStats:
         usage.note_crossing(1, "p")
         usage.observe_io(1, "p", 2.0)
         usage.set_worst_case(1, "p", 3.0)
-        usage.forget_instance(1)
+        usage.forget_instance(1, ports=["p"])
         assert usage.access_count(1) == 0
         assert usage.crossing_count(1, "p") == 0
         assert usage.expected_io(1, "p") == usage.default_worst_case
@@ -166,7 +166,7 @@ class TestUsageStats:
         usage.observe_io(1, "to2", 3.0)
         usage.set_worst_case(1, "to2", 2.0)
         usage.note_crossing(2, "to1")
-        usage.forget_instance(2, peer_keys=[(1, "to2")])
+        usage.forget_instance(2, ports=["to1"], peer_keys=[(1, "to2")])
         assert usage.crossing_count(2, "to1") == 0
         assert usage.crossing_count(1, "to2") == 0
         assert usage.expected_io(1, "to2") == usage.default_worst_case
