@@ -70,11 +70,12 @@ ci: ## what .github/workflows/ci.yml runs
 	$(MAKE) obs-check
 	$(MAKE) server-check
 	$(MAKE) federation-check
+	$(MAKE) examples
 	$(MAKE) bench-check
 	$(MAKE) bench-gate
 
-examples:
-	@for ex in examples/*.py; do echo "== $$ex"; python $$ex > /dev/null && echo ok; done
+examples: ## every example scenario runs to completion
+	@set -e; for ex in examples/*.py; do echo "== $$ex"; PYTHONPATH=src python $$ex > /dev/null; echo ok; done
 
 clean:
 	rm -rf .pytest_cache .hypothesis bench/out

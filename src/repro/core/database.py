@@ -29,7 +29,7 @@ the constraint / subtype callbacks from the engine.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.core.instance import Connection, Instance
 from repro.core.rules import (
@@ -474,28 +474,40 @@ class Database:
                 )
             iid = self._next_iid
             self._next_iid += 1
-            self._do_create(iid, class_name, attrs)
+            instance = Instance(iid, class_name)
+            instance.attrs = attrs
+            self._do_create(instance)
             self.txn.log(
                 CreateRecord(iid=iid, class_name=class_name, intrinsics=dict(attrs))
             )
             return iid
 
-    def _do_create(
-        self,
-        iid: int,
-        class_name: str,
-        attrs: dict[str, Any],
-        active_subtypes: Iterable[str] = (),
-    ) -> None:
-        instance = Instance(iid, class_name)
-        instance.attrs = dict(attrs)
-        instance.active_subtypes = set(active_subtypes)
+    def _do_create(self, instance: Instance) -> None:
+        iid = instance.iid
         self._catalog[iid] = instance
         self.storage.place(iid, instance.record_size())
         self.storage.touch(iid, dirty=True)
         for name in self._plan(iid).constraints:
             self._unchecked_constraints.add((iid, name))
         self.indexes.note_create(iid, instance)
+
+    def _snapshot(self, iid: int) -> dict[str, Any]:
+        """The instance's record plus its own out-of-date slot names (a
+        restored instance must not serve values that were stale): what a
+        delete logs for undo and what an image stores per instance."""
+        snapshot = self.instance(iid).snapshot()
+        stale = self.engine.out_of_date
+        snapshot["out_of_date"] = [
+            name for name in self._plan(iid).names if (iid, name) in stale
+        ]
+        return snapshot
+
+    def _do_restore(self, snapshot: dict[str, Any]) -> None:
+        """Reinstate an instance from :meth:`_snapshot` form (undo of a
+        delete, an image record): connections verbatim, marks as taken."""
+        self._do_create(Instance.from_snapshot(snapshot))
+        for name in snapshot["out_of_date"]:
+            self.engine.restore_mark((snapshot["iid"], name))
 
     def delete(self, iid: int) -> None:
         """Delete an instance: break all relationships, then remove it.
@@ -514,14 +526,7 @@ class Database:
             ]
             for port, conn in list(instance.all_connections()):
                 self.disconnect(iid, port, conn.peer, conn.peer_port)
-            snapshot = instance.snapshot()
-            # Preserve out-of-date marks: a restored instance must not serve
-            # cached derived values that were stale at delete time.
-            stale = self.engine.out_of_date
-            snapshot["out_of_date"] = [
-                name for name in self._plan(iid).names if (iid, name) in stale
-            ]
-            self.txn.log(DeleteRecord(snapshot=snapshot))
+            self.txn.log(DeleteRecord(snapshot=self._snapshot(iid)))
             self._do_delete(iid, peer_keys)
         for listener in tuple(self._delete_listeners):
             listener(iid)
@@ -908,15 +913,7 @@ class Database:
         elif isinstance(record, CreateRecord):
             self._do_delete(record.iid)
         elif isinstance(record, DeleteRecord):
-            snap = record.snapshot
-            self._do_create(
-                snap["iid"],
-                snap["class_name"],
-                snap["attrs"],
-                active_subtypes=snap["active_subtypes"],
-            )
-            for name in snap.get("out_of_date", ()):
-                self.engine.restore_mark((snap["iid"], name))
+            self._do_restore(record.snapshot)
         elif isinstance(record, ConnectRecord):
             self._do_disconnect(
                 record.iid_a, record.port_a, record.iid_b, record.port_b
@@ -937,7 +934,9 @@ class Database:
         if isinstance(record, SetAttrRecord):
             self._do_set_attr(record.iid, record.attr, record.new_value)
         elif isinstance(record, CreateRecord):
-            self._do_create(record.iid, record.class_name, record.intrinsics)
+            instance = Instance(record.iid, record.class_name)
+            instance.attrs = dict(record.intrinsics)
+            self._do_create(instance)
         elif isinstance(record, DeleteRecord):
             self._do_delete(record.iid)
         elif isinstance(record, ConnectRecord):

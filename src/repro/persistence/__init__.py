@@ -12,7 +12,7 @@ The package provides three cooperating pieces:
 
 * :mod:`repro.persistence.wal` -- an append-only log of committed deltas
   with per-record length + CRC32 framing and fsync-on-commit;
-* :mod:`repro.persistence.checkpoint` -- atomic snapshots of the JSON
+* :mod:`repro.persistence.checkpoint` -- atomic snapshots of the streamed
   database image (reusing :mod:`repro.storage.codec`) stamped with the WAL
   high-water mark, after which the log is truncated;
 * :mod:`repro.persistence.recovery` -- loads the latest checkpoint,

@@ -79,7 +79,7 @@ class FedState:
     batches keyed by per-channel sequence number) and ``next_seq`` (the
     next sequence number to assign).  Consumer side: ``applied`` (highest
     batch sequence durably applied).  Checkpoints fold the current state
-    into the image document; the WAL tail replays on top of it.
+    into the image header; the WAL tail replays on top of it.
     """
 
     outbox: dict = field(default_factory=dict)  # channel -> {fed_seq: changes}

@@ -5,7 +5,8 @@ Recovery rebuilds the database three ways at once:
 1. **Load the latest checkpoint** (if any) through
    :func:`repro.storage.codec.restore_database` -- instances, intrinsic and
    cached values, connections, subtypes, out-of-date marks, layout, and
-   transaction history all come back exactly as dumped.
+   transaction history all come back exactly as dumped, streamed one
+   record at a time; a damaged image raises :class:`StorageError`.
 2. **Replay the WAL tail forward.**  Every record whose ``seq`` is beyond
    the checkpoint's high-water mark is re-applied through the transaction
    manager's replay layer (logging and constraint vetoes suppressed --
@@ -32,7 +33,6 @@ from typing import TYPE_CHECKING
 from repro.errors import StorageError
 from repro.persistence.checkpoint import read_checkpoint
 from repro.persistence.wal import decode_wal_payload, repair_wal, scan_wal
-from repro.storage.codec import restore_database
 from repro.txn.log import CreateRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -87,13 +87,11 @@ def recover_database(
     """
     from repro.core.database import Database
 
-    checkpoint = read_checkpoint(checkpoint_path)
-    if checkpoint is not None:
-        db = restore_database(checkpoint["image"], schema, **db_kwargs)
-        base_seq = checkpoint["wal_seq"]
-    else:
-        db = Database(schema, **db_kwargs)
-        base_seq = 0
+    checkpoint = read_checkpoint(checkpoint_path, schema, **db_kwargs)
+    if checkpoint is None:
+        checkpoint = Database(schema, **db_kwargs), {"wal_seq": 0}
+    db, header = checkpoint
+    base_seq = header["wal_seq"]
 
     scan = scan_wal(wal_path)
     truncated = 0
@@ -111,7 +109,7 @@ def recover_database(
     fed_records_replayed = 0
     open_reorg_epoch: int | None = None
     open_fed_migration = False
-    fed = FedState.from_dict(checkpoint.get("fed") if checkpoint else None)
+    fed = FedState.from_dict(header.get("fed"))
     max_iid = db._next_iid - 1
     for payload in scan.payloads:
         kind, record_seq, delta = decode_wal_payload(payload)

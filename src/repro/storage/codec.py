@@ -2,10 +2,11 @@
 
 Saves and restores the *data* of a database -- instances, their intrinsic
 and cached values, connections, active subtypes, out-of-date marks, block
-layout, and transaction history -- as a JSON document.  The *schema* is not
-serialised (rule bodies are arbitrary Python callables); loading requires
-the same schema object, exactly as reopening a Cactis database required the
-same compiled type definitions.
+layout, and transaction history -- as JSON lines, written and read one
+record at a time so neither side holds a second copy of the database.  The
+*schema* is not serialised (rule bodies are arbitrary Python callables);
+loading requires the same schema object, exactly as reopening a Cactis
+database required the same compiled type definitions.
 
 Values are encoded with a small tagged scheme so tuples (the ``array``
 atom) and nested records survive the JSON round trip.
@@ -14,7 +15,10 @@ atom) and nested records survive the JSON round trip.
 from __future__ import annotations
 
 import json
-from typing import Any, TYPE_CHECKING
+import os
+from itertools import islice
+from sys import intern
+from typing import Any, Iterable, Iterator, TYPE_CHECKING
 
 from repro.core.instance import Connection
 from repro.errors import StorageError
@@ -31,7 +35,9 @@ from repro.txn.log import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_encode_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # ---------------------------------------------------------------------------
@@ -117,26 +123,35 @@ def decode_record(payload: dict) -> LogRecord:
     if kind == "set":
         return SetAttrRecord(
             payload["iid"],
-            payload["attr"],
+            intern(payload["attr"]),
             decode_value(payload["old"]),
             decode_value(payload["new"]),
         )
     if kind == "create":
         return CreateRecord(
-            payload["iid"], payload["class"], decode_value(payload["intrinsics"])
+            payload["iid"],
+            intern(payload["class"]),
+            _decode_names(payload["intrinsics"]),
         )
     if kind == "delete":
         return DeleteRecord(_decode_snapshot(payload["snapshot"]))
-    if kind == "connect":
-        return ConnectRecord(*payload["a"], *payload["b"])
-    if kind == "disconnect":
-        return DisconnectRecord(
-            *payload["a"], *payload["b"], *payload["indices"]
-        )
+    if kind in ("connect", "disconnect"):
+        (iid_a, port_a), (iid_b, port_b) = payload["a"], payload["b"]
+        ends = (iid_a, intern(port_a), iid_b, intern(port_b))
+        if kind == "connect":
+            return ConnectRecord(*ends)
+        return DisconnectRecord(*ends, *payload["indices"])
     raise StorageError(f"unknown record kind {kind!r}")
 
 
+def _decode_names(payload: Any) -> dict:
+    """A decoded name -> value map whose names (the schema's vocabulary)
+    are interned: one shared copy each, not one per record."""
+    return {intern(name): value for name, value in decode_value(payload).items()}
+
+
 def _encode_snapshot(snapshot: dict) -> dict:
+    """The one instance encoding: delete snapshots and image records."""
     return {
         "iid": snapshot["iid"],
         "class": snapshot["class_name"],
@@ -146,21 +161,21 @@ def _encode_snapshot(snapshot: dict) -> dict:
             for port, conns in snapshot["connections"].items()
         },
         "subtypes": sorted(snapshot["active_subtypes"]),
-        "out_of_date": sorted(snapshot.get("out_of_date", [])),
+        "out_of_date": sorted(snapshot["out_of_date"]),
     }
 
 
 def _decode_snapshot(payload: dict) -> dict:
     return {
         "iid": payload["iid"],
-        "class_name": payload["class"],
-        "attrs": decode_value(payload["attrs"]),
+        "class_name": intern(payload["class"]),
+        "attrs": _decode_names(payload["attrs"]),
         "connections": {
-            port: [Connection(peer, peer_port) for peer, peer_port in conns]
+            intern(port): [Connection(peer, intern(end)) for peer, end in conns]
             for port, conns in payload["connections"].items()
         },
-        "active_subtypes": set(payload["subtypes"]),
-        "out_of_date": list(payload["out_of_date"]),
+        "active_subtypes": {intern(name) for name in payload["subtypes"]},
+        "out_of_date": [intern(name) for name in payload["out_of_date"]],
     }
 
 
@@ -169,114 +184,103 @@ def _decode_snapshot(payload: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def dump_database(db: "Database") -> dict:
-    """Produce the JSON-ready image of a database's data."""
-    instances = []
-    for iid in db.instance_ids():
-        inst = db.instance(iid)
-        instances.append(
-            {
-                "iid": iid,
-                "class": inst.class_name,
-                "attrs": encode_value(inst.attrs),
-                "connections": {
-                    port: [[c.peer, c.peer_port] for c in conns]
-                    for port, conns in inst.connections.items()
-                },
-                "subtypes": sorted(inst.active_subtypes),
-                "block": db.storage.block_of(iid),
-            }
-        )
-    return {
+def dump_database(db: "Database", **header: Any) -> Iterator[dict]:
+    """The image of a database's data, one JSON-ready record at a time.
+
+    A header (``format``, ``next_iid``, ``schema_classes`` and the caller's
+    ``header`` fields); each instance in block order, encoded as a delete
+    logs it plus its ``block``; each committed transaction as a ``delta``
+    record followed by its log records; a trailer counting them all.
+    """
+    yield {
         "format": FORMAT_VERSION,
+        **header,
+        "next_iid": db.next_instance_id,
         "schema_classes": sorted(db.schema.classes),
-        "next_iid": db._next_iid,
-        "instances": instances,
-        "out_of_date": sorted(
-            [list(slot) for slot in db.engine.out_of_date]
-        ),
-        "history": [
-            {
-                "txn_id": delta.txn_id,
-                "label": delta.label,
-                "records": [encode_record(r) for r in delta.records],
-            }
-            for delta in db.txn.history
-        ],
     }
+    storage = db.storage
+    instances = 0
+    for block_id in sorted(storage.disk.blocks):
+        for iid in sorted(storage.residents_of_block(block_id)):
+            record = _encode_snapshot(db._snapshot(iid))
+            record["block"] = block_id
+            yield record
+            instances += 1
+    records = 0
+    for delta in db.txn.history:
+        yield {"delta": delta.txn_id, "label": delta.label, "records": len(delta.records)}
+        for record in delta.records:
+            yield encode_record(record)
+        records += len(delta.records)
+    deltas = len(db.txn.history)
+    yield {"end": {"instances": instances, "deltas": deltas, "records": records}}
 
 
-def save_database(db: "Database", path: str) -> None:
-    """Write a database image to ``path``."""
-    with open(path, "w") as fh:
-        json.dump(dump_database(db), fh, indent=1)
+def restore_database(records: Iterable[dict], schema, **db_kwargs) -> tuple["Database", dict]:
+    """Rebuild a database from an image stream; returns it and the header.
 
-
-def restore_database(image: dict, schema, **db_kwargs) -> "Database":
-    """Rebuild a database from an image against the given schema.
-
-    The schema must declare (at least) every class named in the image;
-    mismatches surface as the usual schema/attribute errors during
-    reconstruction.
+    Each instance record becomes its instance as it arrives (connections
+    verbatim, marks as saved), and one saved block's records fill one fresh
+    block.  The schema must declare every class the header names.  A
+    damaged image -- cut short, an unparsable line, a missing field, a
+    missing or mismatched trailer, another format -- raises StorageError.
     """
     from repro.core.database import Database
 
-    if image.get("format") != FORMAT_VERSION:
-        raise StorageError(
-            f"unsupported image format {image.get('format')!r}"
-        )
-    missing = [
-        name for name in image["schema_classes"] if name not in schema.classes
-    ]
-    if missing:
-        raise StorageError(
-            f"schema does not declare classes from the image: {missing}"
-        )
     db = Database(schema, **db_kwargs)
-    # Pass 1: instances with attributes and subtypes (no connections yet).
-    blocks: dict[int, list[int]] = {}
-    for entry in image["instances"]:
-        db._do_create(
-            entry["iid"],
-            entry["class"],
-            decode_value(entry["attrs"]),
-            active_subtypes=entry["subtypes"],
-        )
-        blocks.setdefault(entry["block"], []).append(entry["iid"])
-    db._next_iid = image["next_iid"]
-    # Pass 2: connections.  Each instance's stored per-port lists are
-    # installed verbatim (both ends carry their own view), preserving the
-    # observable connection order exactly; the dependency edges follow from
-    # them.  No invalidation runs -- the saved out-of-date marks (pass 3)
-    # are authoritative.
-    for entry in image["instances"]:
-        instance = db.instance(entry["iid"])
-        instance.connections = {
-            port: [Connection(peer, peer_port) for peer, peer_port in conns]
-            for port, conns in entry["connections"].items()
-        }
-        db.storage.resize(entry["iid"], instance.record_size())
-    # Pass 3: marks, layout, and history.
-    for iid, name in image["out_of_date"]:
-        db.engine.restore_mark((iid, name))
-    sizes = {iid: db.instance(iid).record_size() for iid in db.instance_ids()}
-    layout = [blocks[block_id] for block_id in sorted(blocks)]
-    if layout:
-        db.storage.apply_layout(layout, lambda iid: sizes[iid])
-    for delta_payload in image["history"]:
-        delta = Delta(
-            txn_id=delta_payload["txn_id"], label=delta_payload["label"]
-        )
-        delta.records.extend(
-            decode_record(r) for r in delta_payload["records"]
-        )
-        db.txn.history.append(delta)
-        db.txn._next_txn_id = max(db.txn._next_txn_id, delta.txn_id + 1)
-    return db
+    txn = db.txn
+    records = iter(records)
+    try:
+        header = next(records, {})
+        if header.get("format") != FORMAT_VERSION:
+            raise StorageError(f"unsupported image format {header.get('format')!r}")
+        missing = [name for name in header["schema_classes"] if name not in schema.classes]
+        if missing:
+            raise StorageError(f"schema does not declare classes from the image: {missing}")
+        counts = {"instances": 0, "deltas": 0, "records": 0}
+        block = None
+        for entry in records:
+            if "block" in entry:
+                if entry["block"] != block:
+                    block = entry["block"]
+                    db.storage.start_block()
+                db._do_restore(_decode_snapshot(entry))
+                counts["instances"] += 1
+            elif "delta" in entry:
+                delta = Delta(txn_id=entry["delta"], label=entry["label"])
+                delta.records.extend(
+                    map(decode_record, islice(records, entry["records"]))
+                )
+                if len(delta.records) != entry["records"]:
+                    raise StorageError("image is cut short inside a transaction")
+                txn.history.append(delta)
+                txn._next_txn_id = max(txn._next_txn_id, delta.txn_id + 1)
+                counts["deltas"] += 1
+                counts["records"] += len(delta.records)
+            elif entry.get("end") == counts and next(records, None) is None:
+                break
+            else:
+                raise StorageError(f"image trailer {entry!r} does not match {counts}")
+        else:
+            raise StorageError("image is cut short: no trailer")
+        db.storage.start_block()
+        db._next_iid = header["next_iid"]
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise StorageError(f"unreadable image: {exc!r}") from exc
+    return db, header
 
 
-def load_database(path: str, schema, **db_kwargs) -> "Database":
-    """Read an image file and rebuild the database."""
-    with open(path) as fh:
-        image = json.load(fh)
-    return restore_database(image, schema, **db_kwargs)
+def save_database(db: "Database", path: str, **header: Any) -> None:
+    """Write ``db``'s image to ``path``, one JSON line per record, and
+    fsync it; ``header`` fields join the image header."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in dump_database(db, **header):
+            fh.write(_encode_line(record) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def load_database(path: str, schema, **db_kwargs) -> tuple["Database", dict]:
+    """Rebuild a database from an image file; returns it and the header."""
+    with open(path, encoding="utf-8") as fh:
+        return restore_database(map(json.loads, fh), schema, **db_kwargs)

@@ -60,6 +60,11 @@ class StorageManager:
         self._block_of[iid] = block.block_id
         return block.block_id
 
+    def start_block(self) -> None:
+        """Close the fill block: the next :meth:`place` opens a fresh one
+        (image load starts each saved block's records this way)."""
+        self._fill_block = None
+
     def remove(self, iid: int) -> None:
         """Drop a record from its block (instance deletion)."""
         block_id = self.block_of(iid)

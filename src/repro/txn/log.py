@@ -56,10 +56,10 @@ class DeleteRecord:
     """An instance was deleted; ``snapshot`` restores it on undo.
 
     The snapshot captures intrinsic values, cached derived values, active
-    subtypes, and the connection lists.  Connections are *also* covered by
-    the DisconnectRecords logged when delete breaks them, so undo replays
-    those to restore both ends consistently; the snapshot's connection map
-    is used only for validation.
+    subtypes, out-of-date slot names, and the connection lists -- empty
+    here, since delete breaks every connection first and undo replays the
+    DisconnectRecords it logged.  An image's instance record is the same
+    snapshot with its connections filled in.
     """
 
     snapshot: dict[str, Any]

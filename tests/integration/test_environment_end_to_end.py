@@ -130,6 +130,6 @@ class TestUnifiedEnvironment:
         compile_schema(MILESTONE_SCHEMA, schema=schema, freeze=False)
         compile_schema(PROJECT_SCHEMA, schema=schema, freeze=False)
         compile_schema(LINKING_EXTENSION, schema=schema, freeze=True)
-        restored = load_database(str(path), schema)
+        restored, __ = load_database(str(path), schema)
         assert restored.get_attr(component, "total_cost") == 9
         assert restored.get_attr(milestone, "exp_compl") == 4

@@ -6,12 +6,16 @@ a durable database while a fault injector kills the process around a
 chosen WAL append.  Recovery of the crashed directory must then fingerprint
 identically to a never-crashed run of exactly the durable prefix --
 instances, intrinsic values, connections, constraint outcomes, and
-history all equal, never a mixture of two transactions.
+history all equal, never a mixture of two transactions.  A damaged
+checkpoint image is refused with a ``StorageError``, never half-loaded.
 """
+
+import json
 
 import pytest
 
 from repro.core.database import Database
+from repro.errors import StorageError
 from repro.persistence.checkpoint import write_checkpoint
 from repro.persistence.faults import (
     CrashPoint,
@@ -22,7 +26,8 @@ from repro.persistence.faults import (
     torn_write,
     truncate_tail,
 )
-from repro.persistence.manager import PersistenceManager
+from repro.persistence.manager import CHECKPOINT_NAME, PersistenceManager
+from repro.storage.codec import load_database
 from repro.workloads.topologies import build_chain, link, sum_node_schema
 
 SCHEMA = sum_node_schema()
@@ -275,3 +280,79 @@ class TestDurableConfiguration:
         assert db.persistence.stats.recovery.replayed == 0
         assert database_fingerprint(db) == clean_fingerprint(0)
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# damaged checkpoint images
+# ---------------------------------------------------------------------------
+
+
+def _with_line(lines, index, edit):
+    entry = json.loads(lines[index])
+    edit(entry)
+    return lines[:index] + [json.dumps(entry) + "\n"] + lines[index + 1 :]
+
+
+#: damage name -> every damaged text it makes from the image's lines.
+DAMAGES = {
+    "cut_at_each_record_boundary": lambda lines: [
+        "".join(lines[:k]) for k in range(len(lines))
+    ],
+    "cut_mid_line": lambda lines: [
+        "".join(lines[:k]) + lines[k][: len(lines[k]) // 2]
+        for k in range(len(lines))
+    ],
+    "non_json_line": lambda lines: [
+        "".join(lines[:2] + ["{not json\n"] + lines[3:])
+    ],
+    "instance_without_class": lambda lines: [
+        "".join(_with_line(lines, 1, lambda entry: entry.pop("class")))
+    ],
+    "missing_trailer": lambda lines: ["".join(lines[:-1])],
+    "mismatched_trailer": lambda lines: [
+        "".join(
+            _with_line(lines, -1, lambda entry: entry["end"].update(instances=99))
+        )
+    ],
+    "format_1": lambda lines: [
+        json.dumps({"format": 1, "wal_seq": N, "image": {"instances": []}})
+    ],
+}
+
+
+class TestDamagedCheckpoint:
+    def _checkpointed(self, directory):
+        db = Database.open(str(directory), SCHEMA, sync=False)
+        run_events(db)
+        db.checkpoint()
+        db.close()
+        return directory / CHECKPOINT_NAME
+
+    def test_intact_checkpoint_recovers_everything(self, tmp_path):
+        self._checkpointed(tmp_path / "db")
+        db, report = recover(tmp_path / "db")
+        assert database_fingerprint(db) == clean_fingerprint(N)
+        assert report.checkpoint_seq == N and report.replayed == 0
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_image_is_a_storage_error(self, tmp_path, damage):
+        path = self._checkpointed(tmp_path / "db")
+        lines = path.read_text().splitlines(keepends=True)
+        for text in DAMAGES[damage](lines):
+            path.write_text(text)
+            with pytest.raises(StorageError):
+                Database.open(str(tmp_path / "db"), SCHEMA, sync=False)
+            with pytest.raises(StorageError):
+                load_database(str(path), SCHEMA)
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path):
+        db = Database.open(str(tmp_path / "db"), SCHEMA, sync=False)
+        run_events(db, 3)
+        db.checkpoint()
+        path = tmp_path / "db" / CHECKPOINT_NAME
+        before = path.read_bytes()
+        db.instance(1).attrs["weight"] = object()  # not serialisable
+        with pytest.raises(StorageError, match="not serialisable"):
+            db.checkpoint()
+        assert path.read_bytes() == before
+        assert not (tmp_path / "db" / (CHECKPOINT_NAME + ".tmp")).exists()

@@ -20,6 +20,7 @@ from repro.persistence.wal import (
     wal_payload_spans,
 )
 from repro.core.database import Database
+from repro.storage.codec import save_database
 from repro.txn.log import Delta, SetAttrRecord
 from repro.workloads.topologies import build_chain, sum_node_schema
 
@@ -166,33 +167,37 @@ class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "checkpoint.json")
         write_checkpoint(self._db(), path, wal_seq=4)
-        document = read_checkpoint(path)
-        assert document["wal_seq"] == 4
-        assert document["format"] == 1
-        assert document["image"]["instances"]
+        db, header = read_checkpoint(path, sum_node_schema())
+        assert header["wal_seq"] == 4
+        assert header["format"] == 2
+        assert db.instance_ids() == [1, 2]
 
     def test_missing_checkpoint_reads_none(self, tmp_path):
-        assert read_checkpoint(str(tmp_path / "absent.json")) is None
+        assert read_checkpoint(str(tmp_path / "absent.json"), sum_node_schema()) is None
 
     def test_unknown_format_rejected(self, tmp_path):
         path = str(tmp_path / "checkpoint.json")
         with open(path, "w") as fh:
-            json.dump({"format": 99, "wal_seq": 0, "image": {}}, fh)
-        with pytest.raises(StorageError):
-            read_checkpoint(path)
+            fh.write(json.dumps({"format": 99, "wal_seq": 0}) + "\n")
+        with pytest.raises(StorageError, match="format"):
+            read_checkpoint(path, sum_node_schema())
 
     def test_missing_fields_rejected(self, tmp_path):
         path = str(tmp_path / "checkpoint.json")
         with open(path, "w") as fh:
-            json.dump({"format": 1}, fh)
+            fh.write(json.dumps({"format": 2}) + "\n")
         with pytest.raises(StorageError):
-            read_checkpoint(path)
+            read_checkpoint(path, sum_node_schema())
+        # A complete image without the WAL high-water mark is no checkpoint.
+        save_database(self._db(), path)
+        with pytest.raises(StorageError, match="missing required fields"):
+            read_checkpoint(path, sum_node_schema())
 
     def test_install_replaces_atomically(self, tmp_path):
         path = str(tmp_path / "checkpoint.json")
         write_checkpoint(self._db(), path, wal_seq=1)
         write_checkpoint(self._db(), path, wal_seq=2)
-        assert read_checkpoint(path)["wal_seq"] == 2
+        assert read_checkpoint(path, sum_node_schema())[1]["wal_seq"] == 2
         assert not os.path.exists(path + ".tmp")
 
     def test_checkpoint_refused_inside_transaction(self, tmp_path):

@@ -54,6 +54,13 @@ class TestRecordCodec:
         assert decode_record(encode_record(record)) == record
 
 
+def reload(db, schema):
+    """``db`` written as an image and read back through its text."""
+    text = "".join(json.dumps(record) + "\n" for record in dump_database(db))
+    restored, __ = restore_database(map(json.loads, text.splitlines()), schema)
+    return restored
+
+
 class TestDatabaseImage:
     def build(self):
         db = Database(sum_node_schema(), pool_capacity=64)
@@ -66,14 +73,14 @@ class TestDatabaseImage:
         db, nodes = self.build()
         path = tmp_path / "image.json"
         save_database(db, str(path))
-        restored = load_database(str(path), sum_node_schema())
+        restored, header = load_database(str(path), sum_node_schema())
+        assert header["format"] == 2 and header["next_iid"] == max(nodes) + 1
         assert restored.get_attr(nodes[-1], "total") == 15
         assert restored.get_attr(nodes[0], "weight") == 10
 
     def test_out_of_date_marks_survive(self):
         db, nodes = self.build()
-        image = dump_database(db)
-        restored = restore_database(image, sum_node_schema())
+        restored = reload(db, sum_node_schema())
         assert restored.engine.out_of_date == db.engine.out_of_date
 
     def test_connection_order_survives(self):
@@ -82,25 +89,24 @@ class TestDatabaseImage:
         ups = [db.create("node", weight=i) for i in range(3)]
         for up in reversed(ups):  # deliberately non-id order
             link(db, up, hub)
-        image = dump_database(db)
-        restored = restore_database(image, sum_node_schema())
+        restored = reload(db, sum_node_schema())
         assert restored.view(hub).connections("inputs") == list(reversed(ups))
 
     def test_history_survives_and_undo_works(self):
         db, nodes = self.build()
-        restored = restore_database(dump_database(db), sum_node_schema())
+        restored = reload(db, sum_node_schema())
         restored.undo()  # undoes the set_attr
         assert restored.get_attr(nodes[-1], "total") == 6
 
     def test_id_allocation_continues(self):
         db, nodes = self.build()
-        restored = restore_database(dump_database(db), sum_node_schema())
+        restored = reload(db, sum_node_schema())
         assert restored.create("node") > max(nodes)
 
     def test_block_layout_survives(self):
         db, nodes = self.build()
         layout = {iid: db.storage.block_of(iid) for iid in db.instance_ids()}
-        restored = restore_database(dump_database(db), sum_node_schema())
+        restored = reload(db, sum_node_schema())
         # Same co-residency structure (block ids may be renumbered).
         groups = {}
         for iid, block in layout.items():
@@ -120,9 +126,7 @@ class TestDatabaseImage:
         alice = person_db.create("person", name="alice")
         give_cars(person_db, alice, 4)
         assert person_db.is_member(alice, "car_buff")
-        restored = restore_database(
-            dump_database(person_db), make_person_schema()
-        )
+        restored = reload(person_db, make_person_schema())
         assert restored.is_member(alice, "car_buff")
         assert restored.get_attr(alice, "club") == "road&track"
 
@@ -130,20 +134,19 @@ class TestDatabaseImage:
         from repro.core.schema import Schema
 
         db, __ = self.build()
-        image = dump_database(db)
         with pytest.raises(StorageError, match="does not declare"):
-            restore_database(image, Schema().freeze())
+            restore_database(dump_database(db), Schema().freeze())
 
     def test_format_version_checked(self):
         db, __ = self.build()
-        image = dump_database(db)
-        image["format"] = 99
+        image = list(dump_database(db))
+        image[0]["format"] = 99
         with pytest.raises(StorageError, match="format"):
             restore_database(image, sum_node_schema())
 
     def test_restored_db_fully_functional(self):
         db, nodes = self.build()
-        restored = restore_database(dump_database(db), sum_node_schema())
+        restored = reload(db, sum_node_schema())
         extra = restored.create("node", weight=100)
         link(restored, nodes[-1], extra)
         assert restored.get_attr(extra, "total") == 115
