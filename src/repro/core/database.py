@@ -905,50 +905,47 @@ class Database:
             )
         return diagnostics
 
-    # -- undo-log replay (called by the transaction manager) -----------------
+    # -- the one record interpreter (TransactionManager.replay) ---------------
 
-    def apply_inverse(self, record: LogRecord) -> None:
-        if isinstance(record, SetAttrRecord):
-            self._do_set_attr(record.iid, record.attr, record.old_value)
-        elif isinstance(record, CreateRecord):
-            self._do_delete(record.iid)
-        elif isinstance(record, DeleteRecord):
-            self._do_restore(record.snapshot)
-        elif isinstance(record, ConnectRecord):
-            self._do_disconnect(
-                record.iid_a, record.port_a, record.iid_b, record.port_b
-            )
-        elif isinstance(record, DisconnectRecord):
-            self._do_connect(
-                record.iid_a,
-                record.port_a,
-                record.iid_b,
-                record.port_b,
-                record.index_a,
-                record.index_b,
-            )
-        else:  # pragma: no cover - exhaustive over LogRecord
-            raise TypeError(f"unknown log record {record!r}")
+    def apply(self, record: LogRecord, undo: bool = False) -> None:
+        """Turn one log record into database state: its effect, or with
+        ``undo`` its inverse.
 
-    def apply_forward(self, record: LogRecord) -> None:
-        if isinstance(record, SetAttrRecord):
-            self._do_set_attr(record.iid, record.attr, record.new_value)
-        elif isinstance(record, CreateRecord):
-            instance = Instance(record.iid, record.class_name)
-            instance.attrs = dict(record.intrinsics)
-            self._do_create(instance)
-        elif isinstance(record, DeleteRecord):
-            self._do_delete(record.iid)
-        elif isinstance(record, ConnectRecord):
-            self._do_connect(
-                record.iid_a, record.port_a, record.iid_b, record.port_b
-            )
-        elif isinstance(record, DisconnectRecord):
-            self._do_disconnect(
-                record.iid_a, record.port_a, record.iid_b, record.port_b
-            )
-        else:  # pragma: no cover - exhaustive over LogRecord
-            raise TypeError(f"unknown log record {record!r}")
+        Abort, Undo, version checkout and crash recovery all land here, so
+        each record kind has one interpreter for both directions.  A
+        replayed create also keeps the id allocator ahead of its instance.
+        """
+        match record:
+            case SetAttrRecord():
+                value = record.old_value if undo else record.new_value
+                self._do_set_attr(record.iid, record.attr, value)
+            case CreateRecord():
+                if undo:
+                    self._do_delete(record.iid)
+                else:
+                    instance = Instance(record.iid, record.class_name)
+                    instance.attrs = dict(record.intrinsics)
+                    self._do_create(instance)
+                    self._next_iid = max(self._next_iid, record.iid + 1)
+            case DeleteRecord():
+                if undo:
+                    self._do_restore(record.snapshot)
+                else:
+                    self._do_delete(record.iid)
+            case ConnectRecord():
+                ends = (record.iid_a, record.port_a, record.iid_b, record.port_b)
+                if undo:
+                    self._do_disconnect(*ends)
+                else:
+                    self._do_connect(*ends)
+            case DisconnectRecord():
+                ends = (record.iid_a, record.port_a, record.iid_b, record.port_b)
+                if undo:
+                    self._do_connect(*ends, record.index_a, record.index_b)
+                else:
+                    self._do_disconnect(*ends)
+            case _:  # pragma: no cover - exhaustive over LogRecord
+                raise TypeError(f"unknown log record {record!r}")
 
     # ------------------------------------------------------------------
     # queries

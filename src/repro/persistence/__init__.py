@@ -44,14 +44,7 @@ from repro.persistence.manager import (
     PersistenceStats,
 )
 from repro.persistence.recovery import RecoveryReport, recover_database
-from repro.persistence.wal import (
-    WalScan,
-    WriteAheadLog,
-    decode_wal_payload,
-    encode_commit_payload,
-    encode_undo_payload,
-    scan_wal,
-)
+from repro.persistence.wal import WalScan, WriteAheadLog, scan_wal
 
 __all__ = [
     "CHECKPOINT_NAME",
@@ -66,9 +59,6 @@ __all__ = [
     "crash_after",
     "crash_before",
     "database_fingerprint",
-    "decode_wal_payload",
-    "encode_commit_payload",
-    "encode_undo_payload",
     "flip_record_bit",
     "read_checkpoint",
     "recover_database",

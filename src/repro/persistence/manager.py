@@ -19,8 +19,10 @@ the live database:
 * an **undo listener** appends a compensation record for each Undo
   meta-action, keeping the durable history aligned with the in-memory one.
 
-Aborted transactions never reach either listener and cost no I/O at all --
-the paper's economy argument, extended to durability.
+Aborted transactions, and committed ones that recorded nothing, never
+reach either listener and cost no I/O at all -- the paper's economy
+argument, extended to durability.  Every record, whatever its kind, is
+appended by one method, :meth:`PersistenceManager._journal`.
 """
 
 from __future__ import annotations
@@ -33,18 +35,8 @@ from repro.errors import TransactionError
 from repro.obs.events import Checkpoint, Recovery, WalAppend
 from repro.persistence.checkpoint import write_checkpoint
 from repro.persistence.recovery import RecoveryReport, recover_database
-from repro.persistence.wal import (
-    WriteAheadLog,
-    encode_commit_payload,
-    encode_fed_ack_payload,
-    encode_fed_migrate_payload,
-    encode_fed_recv_payload,
-    encode_fed_send_payload,
-    encode_reorg_begin_payload,
-    encode_reorg_end_payload,
-    encode_reorg_step_payload,
-    encode_undo_payload,
-)
+from repro.persistence.wal import WriteAheadLog
+from repro.storage.codec import encode_record
 from repro.txn.log import Delta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -79,29 +71,43 @@ class FedState:
     batches keyed by per-channel sequence number) and ``next_seq`` (the
     next sequence number to assign).  Consumer side: ``applied`` (highest
     batch sequence durably applied).  Checkpoints fold the current state
-    into the image header; the WAL tail replays on top of it.
+    into the image header; the WAL tail replays on top of it through
+    :meth:`apply`, the same method the live journal calls.
     """
 
     outbox: dict = field(default_factory=dict)  # channel -> {fed_seq: changes}
     applied: dict = field(default_factory=dict)  # channel -> fed_seq
     next_seq: dict = field(default_factory=dict)  # channel -> fed_seq
+    #: a cross-site migration's intent bracket is open (begun, not ended);
+    #: not part of the image, like the bracket records a checkpoint drops.
+    migrating: bool = field(default=False, init=False)
 
-    def record_send(self, channel: str, fed_seq: int, changes: list) -> None:
-        self.outbox.setdefault(channel, {})[fed_seq] = [
-            list(change) for change in changes
-        ]
-        if fed_seq >= self.next_seq.get(channel, 1):
-            self.next_seq[channel] = fed_seq + 1
+    def apply(self, payload: dict) -> None:
+        """Fold one ``fed_*`` journal record into the state.
 
-    def record_ack(self, channel: str, fed_seq: int) -> None:
-        pending = self.outbox.get(channel)
-        if pending is not None:
-            pending.pop(fed_seq, None)
-            if not pending:
-                del self.outbox[channel]
-
-    def record_recv(self, channel: str, fed_seq: int) -> None:
-        if fed_seq > self.applied.get(channel, 0):
+        The only interpreter of the federation records: the live
+        ``log_fed_*`` methods call it after appending, recovery while
+        replaying the WAL tail.  A ``fed_migrate`` record only moves
+        :attr:`migrating`.
+        """
+        kind = payload["type"]
+        if kind == "fed_migrate":
+            self.migrating = payload["phase"] == "begin"
+            return
+        channel, fed_seq = payload["channel"], payload["fed_seq"]
+        if kind == "fed_send":
+            self.outbox.setdefault(channel, {})[fed_seq] = [
+                list(change) for change in payload["changes"]
+            ]
+            if fed_seq >= self.next_seq.get(channel, 1):
+                self.next_seq[channel] = fed_seq + 1
+        elif kind == "fed_ack":
+            pending = self.outbox.get(channel)
+            if pending is not None:
+                pending.pop(fed_seq, None)
+                if not pending:
+                    del self.outbox[channel]
+        elif fed_seq > self.applied.get(channel, 0):  # fed_recv
             self.applied[channel] = fed_seq
 
     @property
@@ -235,104 +241,112 @@ class PersistenceManager:
         if self._obs is not None and self._obs.hub.active:
             self._obs.hub.emit(event)
 
-    # -- the choke point ------------------------------------------------------
+    # -- the journal ------------------------------------------------------------
+
+    def _journal(self, kind: str, counter: str, **fields) -> dict:
+        """The one WAL append: assign the next ``seq``, frame and append
+        ``{"type": kind, "seq": seq, **fields}``, count its bytes and one
+        record on the ``counter`` stat, emit ``WalAppend``; returns the
+        payload.  Every durable record in the system passes through here.
+        """
+        self.seq += 1
+        payload = {"type": kind, "seq": self.seq, **fields}
+        size = self._wal.append(payload)
+        stats = self.stats
+        stats.bytes_appended += size
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        self._emit(WalAppend(seq=self.seq, kind=kind, bytes=size, synced=self.sync))
+        return payload
 
     def _on_commit(self, delta: Delta) -> None:
-        assert self._wal is not None
-        self.seq += 1
-        size = self._wal.append(encode_commit_payload(self.seq, delta))
-        self.stats.bytes_appended += size
-        self.stats.commits_logged += 1
-        self._emit(
-            WalAppend(seq=self.seq, kind="commit", bytes=size, synced=self.sync)
+        """Journal one committed delta: durable once this returns."""
+        self._journal(
+            "commit",
+            "commits_logged",
+            txn_id=delta.txn_id,
+            label=delta.label,
+            records=[encode_record(record) for record in delta.records],
         )
 
     def _on_undo(self, delta: Delta) -> None:
-        assert self._wal is not None
-        self.seq += 1
-        size = self._wal.append(encode_undo_payload(self.seq, delta))
-        self.stats.bytes_appended += size
-        self.stats.undos_logged += 1
-        self._emit(
-            WalAppend(seq=self.seq, kind="undo", bytes=size, synced=self.sync)
-        )
+        """Journal an Undo as a logical compensation: the delta's records
+        are already durable in its own commit record."""
+        self._journal("undo", "undos_logged", txn_id=delta.txn_id)
 
     # -- reorganisation journalling ------------------------------------------
 
-    def _log_reorg(self, payload: dict, kind: str) -> None:
-        assert self._wal is not None
-        size = self._wal.append(payload)
-        self.stats.bytes_appended += size
-        self.stats.reorg_records += 1
-        self._emit(WalAppend(seq=self.seq, kind=kind, bytes=size, synced=self.sync))
-
     def log_reorg_begin(self, epoch: int, steps: int) -> None:
         """Journal the opening of an online reorganisation epoch."""
-        self.seq += 1
-        self._log_reorg(
-            encode_reorg_begin_payload(self.seq, epoch, steps), "reorg_begin"
-        )
+        self._journal("reorg_begin", "reorg_records", epoch=epoch, steps=steps)
 
     def log_reorg_step(self, epoch: int, step: int, instances: list[int]) -> None:
-        """Journal one migration step *before* it is applied (write-ahead)."""
-        self.seq += 1
-        self._log_reorg(
-            encode_reorg_step_payload(self.seq, epoch, step, instances),
+        """Journal one migration step *before* it is applied (write-ahead):
+        replaying the group through the same deterministic migration
+        reproduces the move, and a crash between append and apply merely
+        re-runs a step whose effects were lost with the in-memory layout."""
+        self._journal(
             "reorg_step",
+            "reorg_records",
+            epoch=epoch,
+            step=step,
+            instances=list(instances),
         )
 
     def log_reorg_end(self, epoch: int, completed: bool) -> None:
         """Journal the close of an epoch (completed or abandoned)."""
-        self.seq += 1
-        self._log_reorg(
-            encode_reorg_end_payload(self.seq, epoch, completed), "reorg_end"
-        )
+        self._journal("reorg_end", "reorg_records", epoch=epoch, completed=completed)
 
     # -- federation delivery journalling --------------------------------------
-
-    def _log_fed(self, payload: dict, kind: str) -> None:
-        assert self._wal is not None
-        size = self._wal.append(payload)
-        self.stats.bytes_appended += size
-        self.stats.fed_records += 1
-        self._emit(WalAppend(seq=self.seq, kind=kind, bytes=size, synced=self.sync))
 
     def log_fed_send(self, channel: str, fed_seq: int, changes: list) -> None:
         """Journal one outgoing change batch *before* delivery is attempted.
 
-        The batch enters the durable outbox; it leaves only through
-        :meth:`log_fed_ack`, so a crash anywhere in between re-delivers it.
+        ``channel`` is the ``"producer>consumer"`` site pair, ``fed_seq``
+        its per-channel sequence number, ``changes`` its
+        ``[mirror_iid, attr, value]`` triples.  The batch enters the
+        durable outbox; it leaves only through :meth:`log_fed_ack`, so a
+        crash anywhere in between re-delivers it.
         """
-        self.seq += 1
-        self._log_fed(
-            encode_fed_send_payload(self.seq, channel, fed_seq, changes),
-            "fed_send",
+        self.fed.apply(
+            self._journal(
+                "fed_send",
+                "fed_records",
+                channel=channel,
+                fed_seq=fed_seq,
+                changes=[list(change) for change in changes],
+            )
         )
-        self.fed.record_send(channel, fed_seq, changes)
 
     def log_fed_ack(self, channel: str, fed_seq: int) -> None:
-        """Journal a consumer acknowledgement; drops the batch from the outbox."""
-        self.seq += 1
-        self._log_fed(encode_fed_ack_payload(self.seq, channel, fed_seq), "fed_ack")
-        self.fed.record_ack(channel, fed_seq)
+        """Journal a consumer acknowledgement; drops the batch from the
+        outbox.  A crash *before* the ack re-delivers the batch, which the
+        consumer's durable ``fed_recv`` mark dedups."""
+        self.fed.apply(
+            self._journal("fed_ack", "fed_records", channel=channel, fed_seq=fed_seq)
+        )
 
     def log_fed_recv(self, channel: str, fed_seq: int) -> None:
         """Journal a durably-applied batch on the consumer side (the dedup
         high-water mark a redelivery is checked against)."""
-        self.seq += 1
-        self._log_fed(
-            encode_fed_recv_payload(self.seq, channel, fed_seq), "fed_recv"
+        self.fed.apply(
+            self._journal("fed_recv", "fed_records", channel=channel, fed_seq=fed_seq)
         )
-        self.fed.record_recv(channel, fed_seq)
 
     def log_fed_migrate(
         self, phase: str, iid: int, from_site: str, to_site: str
     ) -> None:
-        """Journal one side of a cross-site migration intent bracket."""
-        self.seq += 1
-        self._log_fed(
-            encode_fed_migrate_payload(self.seq, phase, iid, from_site, to_site),
-            "fed_migrate",
+        """Journal one side (``phase`` is ``"begin"`` or ``"end"``) of a
+        cross-site migration intent bracket; the moves themselves are
+        ordinary logged primitives on each site."""
+        self.fed.apply(
+            self._journal(
+                "fed_migrate",
+                "fed_records",
+                phase=phase,
+                iid=iid,
+                from_site=from_site,
+                to_site=to_site,
+            )
         )
 
     # -- checkpointing --------------------------------------------------------

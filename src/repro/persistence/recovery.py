@@ -8,11 +8,14 @@ Recovery rebuilds the database three ways at once:
    transaction history all come back exactly as dumped, streamed one
    record at a time; a damaged image raises :class:`StorageError`.
 2. **Replay the WAL tail forward.**  Every record whose ``seq`` is beyond
-   the checkpoint's high-water mark is re-applied through the transaction
-   manager's replay layer (logging and constraint vetoes suppressed --
-   every replayed transaction already passed its commit audit).  Commit
-   records re-enter history; undo records pop it, exactly as the original
-   meta-action did.
+   the checkpoint's high-water mark is dispatched on its ``type``.  Deltas
+   go through :meth:`TransactionManager.replay`, the one replay entry that
+   abort, Undo and version checkout use too (logging and constraint vetoes
+   suppressed -- every replayed transaction already passed its commit
+   audit).  Commit records re-enter history; undo records pop it, exactly
+   as the original meta-action did.  Reorganisation steps re-run their
+   group move; federation records fold into
+   :meth:`FedState.apply <repro.persistence.manager.FedState.apply>`.
 3. **Drop the torn tail.**  A crash mid-append leaves a short or
    CRC-failing trailing frame; the scan stops at the first bad record and
    the file is truncated back to the valid prefix, so the log is clean for
@@ -32,8 +35,9 @@ from typing import TYPE_CHECKING
 
 from repro.errors import StorageError
 from repro.persistence.checkpoint import read_checkpoint
-from repro.persistence.wal import decode_wal_payload, repair_wal, scan_wal
-from repro.txn.log import CreateRecord
+from repro.persistence.wal import repair_wal, scan_wal
+from repro.storage.codec import decode_record
+from repro.txn.log import Delta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
@@ -83,9 +87,13 @@ def recover_database(
     """Rebuild a database from its checkpoint and WAL.
 
     Returns ``(db, high_water_seq, report)`` where ``high_water_seq`` is
-    the last durable sequence number (new appends continue after it).
+    the last durable sequence number (new appends continue after it).  A
+    whole, checksum-valid record that is no WAL record -- a missing field,
+    an unknown type, not an object at all -- raises :class:`StorageError`
+    naming its ``seq``; unlike a torn tail it is not cut off the log.
     """
     from repro.core.database import Database
+    from repro.persistence.manager import FedState
 
     checkpoint = read_checkpoint(checkpoint_path, schema, **db_kwargs)
     if checkpoint is None:
@@ -100,101 +108,80 @@ def recover_database(
         repair_wal(wal_path, scan)
         truncated = size - scan.valid_bytes
 
-    from repro.persistence.manager import FedState
-
-    seq = base_seq
-    replayed = 0
-    skipped = 0
-    reorg_steps_replayed = 0
-    fed_records_replayed = 0
-    open_reorg_epoch: int | None = None
-    open_fed_migration = False
-    fed = FedState.from_dict(header.get("fed"))
-    max_iid = db._next_iid - 1
-    for payload in scan.payloads:
-        kind, record_seq, delta = decode_wal_payload(payload)
-        if record_seq <= base_seq:
-            skipped += 1
-            continue
-        if kind in ("fed_send", "fed_ack", "fed_recv", "fed_migrate"):
-            # Delivery-state records replay into the durable outbox /
-            # applied maps; the batch contents themselves never touch the
-            # database here -- application always goes through the
-            # consumer's own logged delivery transaction.
-            if kind == "fed_send":
-                fed.record_send(
-                    payload["channel"], payload["fed_seq"], payload["changes"]
-                )
-            elif kind == "fed_ack":
-                fed.record_ack(payload["channel"], payload["fed_seq"])
-            elif kind == "fed_recv":
-                fed.record_recv(payload["channel"], payload["fed_seq"])
-            else:
-                open_fed_migration = payload["phase"] == "begin"
-            fed_records_replayed += 1
-            seq = record_seq
-            continue
-        if kind in ("reorg_begin", "reorg_step", "reorg_end"):
-            # Migration steps are replayed through the same deterministic
-            # group move the live driver used; a begin with no matching end
-            # means the crash interrupted the epoch, which recovery abandons
-            # (the layout stays mixed but every instance is placed once).
-            if kind == "reorg_begin":
-                open_reorg_epoch = payload["epoch"]
-            elif kind == "reorg_step":
-                # A checkpoint taken mid-epoch truncates the begin record;
-                # orphan steps still mean the epoch was in flight.
-                open_reorg_epoch = payload["epoch"]
-                db.storage.migrate_group(
-                    payload["instances"],
-                    lambda iid: db.instance(iid).record_size(),
-                )
-                reorg_steps_replayed += 1
-            else:
-                open_reorg_epoch = None
-            seq = record_seq
-            continue
-        if kind == "commit":
-            assert delta is not None
-            db.txn.apply_forward(delta)
-            db.txn.history.append(delta)
-            db.txn._next_txn_id = max(db.txn._next_txn_id, delta.txn_id + 1)
-            for record in delta.records:
-                if isinstance(record, CreateRecord):
-                    max_iid = max(max_iid, record.iid)
-        else:
-            # Undo: pop the transaction whose commit record re-entered
-            # history (commit order is replay order, so the most recent
-            # entry is the one the original meta-action rolled back) and
-            # apply its inverse, mirroring TransactionManager.undo.
-            if not db.txn.history:
-                raise StorageError(
-                    f"WAL undo record seq {record_seq} with no committed "
-                    f"transaction to undo"
-                )
-            undone = db.txn.history.pop()
-            if undone.txn_id != payload.get("txn_id", undone.txn_id):
-                raise StorageError(
-                    f"WAL undo record seq {record_seq} names txn "
-                    f"{payload['txn_id']} but history ends at {undone.txn_id}"
-                )
-            db.txn.apply_inverse_delta(undone)
-        seq = record_seq
-        replayed += 1
-    # Creates replayed from the WAL bypass the allocator; keep it ahead of
-    # every id ever issued so new instances never collide with replayed
-    # (or replayed-then-deleted) ones.
-    db._next_iid = max(db._next_iid, max_iid + 1)
     report = RecoveryReport(
         checkpoint_seq=base_seq,
-        replayed=replayed,
-        skipped=skipped,
+        replayed=0,
+        skipped=0,
         dropped=scan.dropped,
         truncated_bytes=truncated,
-        reorg_steps_replayed=reorg_steps_replayed,
-        reorg_abandoned=open_reorg_epoch is not None,
-        fed_records_replayed=fed_records_replayed,
-        fed_state=None if fed.empty else fed.to_dict(),
-        fed_migration_abandoned=open_fed_migration,
     )
+    fed = FedState.from_dict(header.get("fed"))
+    txn = db.txn
+    seq = base_seq
+    for payload in scan.payloads:
+        try:
+            kind, record_seq = payload["type"], payload["seq"]
+            if record_seq <= base_seq:
+                report.skipped += 1
+                continue
+            match kind:
+                case "commit":
+                    delta = Delta(
+                        txn_id=payload["txn_id"],
+                        records=list(map(decode_record, payload["records"])),
+                        label=payload["label"],
+                    )
+                    txn.replay(delta, undo=False)
+                    txn.history.append(delta)
+                    txn._next_txn_id = max(txn._next_txn_id, delta.txn_id + 1)
+                    report.replayed += 1
+                case "undo":
+                    # Commit order is replay order, so the most recent
+                    # history entry is the one the meta-action rolled back.
+                    if not txn.history:
+                        raise StorageError(
+                            f"WAL undo record seq {record_seq} with no "
+                            f"committed transaction to undo"
+                        )
+                    undone = txn.history.pop()
+                    if undone.txn_id != payload.get("txn_id", undone.txn_id):
+                        raise StorageError(
+                            f"WAL undo record seq {record_seq} names txn "
+                            f"{payload['txn_id']} but history ends at "
+                            f"{undone.txn_id}"
+                        )
+                    txn.replay(undone, undo=True)
+                    report.replayed += 1
+                case "reorg_begin" | "reorg_step" | "reorg_end":
+                    # Steps re-run the live driver's deterministic group
+                    # move.  An epoch not ended when the log stops is
+                    # abandoned -- a checkpoint taken mid-epoch drops the
+                    # begin record, so an orphan step opens one too.
+                    report.reorg_abandoned = kind != "reorg_end"
+                    if kind == "reorg_step":
+                        db.storage.migrate_group(
+                            payload["instances"],
+                            lambda iid: db.instance(iid).record_size(),
+                        )
+                        report.reorg_steps_replayed += 1
+                case "fed_send" | "fed_ack" | "fed_recv" | "fed_migrate":
+                    # Delivery state only: batch contents reach a database
+                    # through the consumer's own logged transaction.
+                    fed.apply(payload)
+                    report.fed_records_replayed += 1
+                case _:
+                    raise StorageError(
+                        f"WAL record seq {record_seq} has unknown payload "
+                        f"type {kind!r}"
+                    )
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            which = (
+                f"seq {payload['seq']}"
+                if isinstance(payload, dict) and "seq" in payload
+                else "(no seq)"
+            )
+            raise StorageError(f"malformed WAL record {which}: {exc!r}") from exc
+        seq = record_seq
+    report.fed_state = None if fed.empty else fed.to_dict()
+    report.fed_migration_abandoned = fed.migrating
     return db, seq, report

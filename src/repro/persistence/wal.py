@@ -8,9 +8,14 @@ One file, a sequence of framed records.  Each record is::
 
 The payload is a JSON object describing one durable event: a committed
 transaction (``type: "commit"``, carrying the delta's primitive records via
-:func:`repro.storage.codec.encode_record`) or an Undo meta-action
-(``type: "undo"``).  Every payload carries a monotonically increasing
-``seq`` so recovery can skip records already folded into a checkpoint.
+:func:`repro.storage.codec.encode_record`), an Undo meta-action
+(``type: "undo"``), a reorganisation step or a federation delivery event.
+Every payload carries a monotonically increasing ``seq`` so recovery can
+skip records already folded into a checkpoint.  This module only frames
+payloads; :meth:`repro.persistence.manager.PersistenceManager._journal`
+is the one place that builds and appends them, and
+:func:`repro.persistence.recovery.recover_database` the one place that
+reads them back.
 
 Durability discipline: ``append`` writes the frame, flushes, and (with
 ``sync=True``) fsyncs before returning -- the transaction is durable the
@@ -29,146 +34,12 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import StorageError
 from repro.obs.events import WalFsync
-from repro.storage.codec import decode_record, encode_record
-from repro.txn.log import Delta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.persistence.faults import FaultInjector
 
 _FRAME_HEADER = struct.Struct(">II")  # payload length, CRC32(payload)
-
-
-# ---------------------------------------------------------------------------
-# payload encoding (reuses the image codec's record scheme)
-# ---------------------------------------------------------------------------
-
-
-def encode_commit_payload(seq: int, delta: Delta) -> dict:
-    """The WAL payload for one committed transaction."""
-    return {
-        "type": "commit",
-        "seq": seq,
-        "txn_id": delta.txn_id,
-        "label": delta.label,
-        "records": [encode_record(r) for r in delta.records],
-    }
-
-
-def encode_undo_payload(seq: int, delta: Delta) -> dict:
-    """The WAL payload for one Undo meta-action (a logical compensation).
-
-    Undo pops the most recent committed transaction and applies its
-    inverse; replaying the pop is enough -- the delta's records are already
-    durable in its own commit record.
-    """
-    return {"type": "undo", "seq": seq, "txn_id": delta.txn_id}
-
-
-def encode_reorg_begin_payload(seq: int, epoch: int, steps: int) -> dict:
-    """The WAL payload opening one online reorganisation epoch."""
-    return {"type": "reorg_begin", "seq": seq, "epoch": epoch, "steps": steps}
-
-
-def encode_reorg_step_payload(
-    seq: int, epoch: int, step: int, instances: list[int]
-) -> dict:
-    """One migration step: the planned group about to be moved.
-
-    Written *before* the step runs (write-ahead): replaying the group
-    through the same deterministic migration reproduces the move, and a
-    crash between append and apply merely re-runs a step whose effects were
-    lost with the in-memory layout.
-    """
-    return {
-        "type": "reorg_step",
-        "seq": seq,
-        "epoch": epoch,
-        "step": step,
-        "instances": list(instances),
-    }
-
-
-def encode_reorg_end_payload(seq: int, epoch: int, completed: bool) -> dict:
-    """The WAL payload closing an epoch (completed or abandoned)."""
-    return {"type": "reorg_end", "seq": seq, "epoch": epoch, "completed": completed}
-
-
-#: WAL payload types describing reorganisation epochs rather than deltas.
-REORG_PAYLOAD_TYPES = frozenset({"reorg_begin", "reorg_step", "reorg_end"})
-
-
-def encode_fed_send_payload(
-    seq: int, channel: str, fed_seq: int, changes: list
-) -> dict:
-    """One federation change batch entering the producer's outbox.
-
-    Written *before* the batch is offered for delivery (write-ahead): the
-    batch survives a producer crash and is re-delivered on the next sync,
-    which is the at-least-once half of the delivery contract.  ``channel``
-    is the ``"producer>consumer"`` site pair, ``fed_seq`` its per-channel
-    monotonic sequence number, ``changes`` a JSON-ready list of
-    ``[mirror_iid, attr, value]`` triples.
-    """
-    return {
-        "type": "fed_send",
-        "seq": seq,
-        "channel": channel,
-        "fed_seq": fed_seq,
-        "changes": [list(change) for change in changes],
-    }
-
-
-def encode_fed_ack_payload(seq: int, channel: str, fed_seq: int) -> dict:
-    """The consumer acknowledged a batch; the producer drops it from its
-    outbox.  A crash *before* the ack re-delivers the batch, which the
-    consumer's durable ``fed_recv`` high-water mark dedups."""
-    return {"type": "fed_ack", "seq": seq, "channel": channel, "fed_seq": fed_seq}
-
-
-def encode_fed_recv_payload(seq: int, channel: str, fed_seq: int) -> dict:
-    """The consumer durably applied a batch (its delivery transaction
-    committed).  Recovery rebuilds the per-channel applied high-water mark
-    from these, giving exactly-once *application* on top of at-least-once
-    shipping."""
-    return {"type": "fed_recv", "seq": seq, "channel": channel, "fed_seq": fed_seq}
-
-
-def encode_fed_migrate_payload(
-    seq: int, phase: str, iid: int, from_site: str, to_site: str
-) -> dict:
-    """Intent bracket around one cross-site instance migration.
-
-    The moves themselves are ordinary logged primitives on each site; the
-    bracket (``phase`` is ``"begin"`` or ``"end"``) lets recovery report a
-    migration that was in flight when the log stopped.
-    """
-    return {
-        "type": "fed_migrate",
-        "seq": seq,
-        "phase": phase,
-        "iid": iid,
-        "from_site": from_site,
-        "to_site": to_site,
-    }
-
-
-#: WAL payload types describing federation delivery state rather than deltas.
-FED_PAYLOAD_TYPES = frozenset({"fed_send", "fed_ack", "fed_recv", "fed_migrate"})
-
-
-def decode_wal_payload(payload: dict) -> tuple[str, int, Delta | None]:
-    """Decode one scanned payload to ``(type, seq, delta-or-None)``."""
-    kind = payload["type"]
-    seq = payload["seq"]
-    if kind == "commit":
-        delta = Delta(txn_id=payload["txn_id"], label=payload["label"])
-        delta.records.extend(decode_record(r) for r in payload["records"])
-        return kind, seq, delta
-    if kind == "undo" or kind in REORG_PAYLOAD_TYPES or kind in FED_PAYLOAD_TYPES:
-        return kind, seq, None
-    raise StorageError(f"unknown WAL payload type {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -196,11 +196,15 @@ class TransactionManager:
         delta = self._active
         self._active = None
         self._autocommit_pending = False
-        self.history.append(delta)
-        if self.history_limit is not None and len(self.history) > self.history_limit:
-            del self.history[: len(self.history) - self.history_limit]
-        for listener in self._commit_listeners:
-            listener(delta)
+        if delta.records:
+            # A transaction that recorded nothing leaves no trace: no Undo
+            # target, no WAL record, no version-stream entry.
+            self.history.append(delta)
+            limit = self.history_limit
+            if limit is not None and len(self.history) > limit:
+                del self.history[: len(self.history) - limit]
+            for listener in self._commit_listeners:
+                listener(delta)
         self.commits += 1
         obs = self._obs
         if obs is not None:
@@ -231,7 +235,7 @@ class TransactionManager:
         delta = self._active
         self._active = None
         self._autocommit_pending = False
-        self._apply_inverse(delta)
+        self.replay(delta, undo=True)
         self.aborts += 1
         obs = self._obs
         if obs is not None:
@@ -259,7 +263,7 @@ class TransactionManager:
         if not self.history:
             raise TransactionError("no committed transaction to undo")
         delta = self.history.pop()
-        self._apply_inverse(delta)
+        self.replay(delta, undo=True)
         self.undos += 1
         for listener in self._undo_listeners:
             listener(delta)
@@ -267,23 +271,18 @@ class TransactionManager:
 
     # -- replay ------------------------------------------------------------
 
-    def _apply_inverse(self, delta: Delta) -> None:
+    def replay(self, delta: Delta, undo: bool) -> None:
+        """Apply a delta's records through :meth:`Database.apply`, forward
+        in order or (``undo``) inverted in reverse order, with logging
+        suppressed and history untouched.
+
+        The one replay entry: abort, Undo, version checkout and crash
+        recovery all call it.
+        """
+        apply = self.db.apply
         self._rolling_back = True
         try:
-            for record in reversed(delta.records):
-                self.db.apply_inverse(record)
+            for record in reversed(delta.records) if undo else delta.records:
+                apply(record, undo)
         finally:
             self._rolling_back = False
-
-    def apply_forward(self, delta: Delta) -> None:
-        """Re-apply a delta (redo); used by the version facility."""
-        self._rolling_back = True  # suppress logging during replay
-        try:
-            for record in delta.records:
-                self.db.apply_forward(record)
-        finally:
-            self._rolling_back = False
-
-    def apply_inverse_delta(self, delta: Delta) -> None:
-        """Apply a delta's inverse without touching history (version facility)."""
-        self._apply_inverse(delta)

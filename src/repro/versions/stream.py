@@ -61,14 +61,14 @@ class VersionStream:
         self._next_id = 1
         self.current: int = 0
         self.pending: list[Delta] = []
-        db.txn.add_commit_listener(self._on_commit)
-        self._replaying = False
+        db.txn.add_commit_listener(self.pending.append)
+        db.txn.add_undo_listener(self._on_undo)
 
-    # -- commit capture ------------------------------------------------------
-
-    def _on_commit(self, delta: Delta) -> None:
-        if not self._replaying:
-            self.pending.append(delta)
+    def _on_undo(self, delta: Delta) -> None:
+        """An Undo of untagged work takes its delta out of ``pending``, or
+        a later tag would freeze (and checkout replay) an undone change."""
+        if self.pending and self.pending[-1] is delta:
+            self.pending.pop()
 
     # -- tagging ------------------------------------------------------------
 
@@ -128,24 +128,18 @@ class VersionStream:
 
         Pending (untagged) deltas block a checkout unless
         ``discard_pending`` is given, in which case they are rolled back
-        first -- the Undo guarantee extends to version navigation.
+        first -- the Undo guarantee extends to version navigation.  On a
+        durable database the move ends with a checkpoint: the replay is in
+        no WAL record, so the image is what makes it survive a reopen, and
+        a crash before the image is installed recovers the state before the
+        checkout.
         """
         target = self.version(ref)
-        if self.pending:
-            if not discard_pending:
-                raise VersionError(
-                    f"{len(self.pending)} untagged committed transaction(s) "
-                    f"pending; tag them or pass discard_pending=True"
-                )
-            self._replaying = True
-            try:
-                for delta in reversed(self.pending):
-                    self.db.txn.apply_inverse_delta(delta)
-            finally:
-                self._replaying = False
-            self.pending.clear()
-        if target.version_id == self.current:
-            return target
+        if self.pending and not discard_pending:
+            raise VersionError(
+                f"{len(self.pending)} untagged committed transaction(s) "
+                f"pending; tag them or pass discard_pending=True"
+            )
         here = self.lineage(self.current)
         there = self.lineage(target.version_id)
         common = 0
@@ -153,19 +147,23 @@ class VersionStream:
             if a != b:
                 break
             common += 1
-        self._replaying = True
-        try:
-            # Walk up: undo every version between current and the ancestor.
-            for vid in reversed(here[common:]):
-                for delta in reversed(self.versions[vid].deltas):
-                    self.db.txn.apply_inverse_delta(delta)
-            # Walk down: redo every version from the ancestor to the target.
-            for vid in there[common:]:
-                for delta in self.versions[vid].deltas:
-                    self.db.txn.apply_forward(delta)
-        finally:
-            self._replaying = False
+        # Walk up: the pending deltas, then every version between current
+        # and the common ancestor, newest first.  Walk down: every version
+        # from the ancestor to the target, oldest first.
+        up = self.pending[::-1] + [
+            delta
+            for vid in reversed(here[common:])
+            for delta in reversed(self.versions[vid].deltas)
+        ]
+        down = [delta for vid in there[common:] for delta in self.versions[vid].deltas]
+        for delta in up:
+            self.db.txn.replay(delta, undo=True)
+        for delta in down:
+            self.db.txn.replay(delta, undo=False)
+        self.pending.clear()
         self.current = target.version_id
+        if (up or down) and self.db.persistence is not None:
+            self.db.persistence.checkpoint()
         return target
 
     # -- diagnostics ------------------------------------------------------------

@@ -7,10 +7,18 @@ that has to be kept in step by hand -- so this guard, in the style of
 ``test_single_resolver.py``, fails when one comes back under ``src/repro``.
 The stored graph itself is ``tests/references.py::DependencyGraph``, the
 reference the view is checked against.
+
+A durable record has one path too: ``Database.apply`` is the only code that
+turns a log record into database state (abort, Undo, version checkout and
+recovery reach it through ``TransactionManager.replay``), and one
+``PersistenceManager`` method appends to the WAL.  The record codec
+(``storage/codec.py``) and the record definitions (``txn/log.py``) are the
+only other modules that test a record's class.
 """
 
 import ast
 import pathlib
+import re
 
 import repro
 from repro.core.database import Database
@@ -101,3 +109,118 @@ def test_the_view_holds_no_per_slot_state():
     assert len(vars(small.depgraph)) == len(vars(large.depgraph)) == 1
     assert not EDGE_MUTATORS & set(dir(large.depgraph))
     assert sum(1 for __ in large.depgraph.slots()) > 200
+
+
+# ---------------------------------------------------------------------------
+# one record path
+# ---------------------------------------------------------------------------
+
+RECORD_CLASSES = {
+    "SetAttrRecord",
+    "CreateRecord",
+    "DeleteRecord",
+    "ConnectRecord",
+    "DisconnectRecord",
+}
+
+#: where a record's class may be tested: its one interpreter, the codec
+#: and the module that defines the records.
+RECORD_TEST_SITES = {"core/database.py:Database.apply"}
+RECORD_TEST_MODULES = {"storage/codec.py", "txn/log.py"}
+
+#: the one function that appends to the WAL.
+WAL_APPEND_SITE = "persistence/manager.py:PersistenceManager._journal"
+
+#: the second interpreters, replay entries and payload builders the record
+#: path replaced: not an identifier under ``src/repro``.
+RETIRED_RECORD_PATH = {
+    "apply_inverse",
+    "apply_forward",
+    "_apply_inverse",
+    "apply_inverse_delta",
+    "encode_commit_payload",
+    "encode_undo_payload",
+    "encode_reorg_begin_payload",
+    "encode_reorg_step_payload",
+    "encode_reorg_end_payload",
+    "encode_fed_send_payload",
+    "encode_fed_ack_payload",
+    "encode_fed_recv_payload",
+    "encode_fed_migrate_payload",
+    "decode_wal_payload",
+    "REORG_PAYLOAD_TYPES",
+    "FED_PAYLOAD_TYPES",
+    "_log_reorg",
+    "_log_fed",
+    "record_send",
+    "record_ack",
+    "record_recv",
+}
+
+
+def _sites(matches):
+    """``module:Owner.func`` (or ``module:<module>``) of every node for
+    which ``matches(node)`` holds."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if matches(child):
+                found.add(f"{module}:{inner or '<module>'}")
+            visit(child, module, inner)
+
+    for module, tree in _modules():
+        visit(tree, module, "")
+    return found
+
+
+def _tests_record_class(node: ast.AST) -> bool:
+    if isinstance(node, ast.MatchClass):
+        return _named(node.cls) in RECORD_CLASSES
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return any(_named(inner) in RECORD_CLASSES for inner in ast.walk(node.args[1]))
+    return False
+
+
+def test_only_the_interpreter_and_the_codec_test_a_record_class():
+    sites = _sites(_tests_record_class)
+    outside = {
+        site
+        for site in sites
+        if site not in RECORD_TEST_SITES
+        and site.split(":")[0] not in RECORD_TEST_MODULES
+    }
+    assert not outside, f"a second record interpreter: {sorted(outside)}"
+    assert RECORD_TEST_SITES <= sites
+
+
+def _appends_to_a_wal(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "append"
+        and re.search(r"(^|_)wal$", _named(node.func.value) or "") is not None
+    )
+
+
+def test_one_function_appends_to_the_wal():
+    assert _sites(_appends_to_a_wal) == {WAL_APPEND_SITE}
+
+
+def test_no_retired_record_path_name_is_an_identifier():
+    offenders = sorted(
+        f"{module}:{getattr(node, 'lineno', '?')} {name}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        for name in [node.name if isinstance(node, ast.alias) else _named(node)]
+        if name in RETIRED_RECORD_PATH
+    )
+    assert not offenders, f"the record path has one of each: {offenders}"

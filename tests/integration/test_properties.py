@@ -12,9 +12,13 @@ Three families:
   ``Database.depgraph`` view equals the test-side reference graph rebuilt
   from resolved rules x connections; the checkpoint goes through an image
   file, restores every piece of state the image carries, and an undo of a
-  checkpointed transaction after it matches the same undo without it.
+  checkpointed transaction after it matches the same undo without it;
+* **one record path** -- the same op sequence run durably, then recovered
+  from its checkpoint and WAL, and then walked by a version checkout to
+  the root and back, lands on the image of the in-memory run each time.
 """
 
+import copy
 import os
 import tempfile
 from collections import Counter
@@ -25,6 +29,7 @@ from repro.core.database import Database
 from repro.core.schema import AttributeDef, ObjectClass
 from repro.dsl import compile_schema
 from repro.storage.codec import encode_record, load_database, save_database
+from repro.versions import VersionStream
 from tests.references import (
     breadth_first_factory,
     depth_first_factory,
@@ -360,3 +365,48 @@ class TestDependencyGraphConsistency:
                 db.is_member(iid, "big")
                 db.is_member(iid, "odd")
             assert_view_is_reference(db)
+
+
+def settled_image(db):
+    """A copy of :func:`image_state` with every membership and derived
+    slot evaluated and without the block layout: the log carries neither
+    cached derived values nor placement (DESIGN.md §5, invariant 5), so a
+    replay is held to the state they are recomputed from."""
+    for iid in db.instance_ids():
+        db.is_member(iid, "big")
+        db.is_member(iid, "odd")
+    for iid in db.instance_ids():
+        for name in db._plan(iid).names:
+            db.engine.demand((iid, name))
+    return copy.deepcopy(image_state(db)[:-1])
+
+
+class TestEveryReplayPathLandsOnTheSameImage:
+    @given(st.lists(_graph_op, max_size=14))
+    @settings(**COMMON)
+    def test_recovery_and_checkout_match_the_in_memory_run(self, ops):
+        script = [("create", 25, 8), ("create", 3, 0), ("link", 0, 1)] + ops
+        memory = Database(compile_schema(OVERLAP_SRC), pool_capacity=256)
+        stream = VersionStream(memory)
+        with tempfile.TemporaryDirectory() as directory:
+            durable = Database.open(
+                directory, compile_schema(OVERLAP_SRC), sync=False, pool_capacity=256
+            )
+            for op in script:
+                if op[0] == "checkpoint":
+                    durable.checkpoint()  # the in-memory run has no log to fold
+                else:
+                    _graph_step(memory, op)
+                    _graph_step(durable, op)
+            expected = settled_image(memory)
+            assert settled_image(durable) == expected
+            durable.close()
+            # ``extend`` is not journalled: reopen under the extended schema.
+            reopened = Database.open(directory, durable.schema, pool_capacity=256)
+            assert settled_image(reopened) == expected
+            reopened.close()
+        stream.tag("tip")
+        stream.checkout("root")
+        assert memory.instance_ids() == []
+        stream.checkout("tip")
+        assert settled_image(memory) == expected

@@ -9,19 +9,17 @@ import pytest
 from repro.errors import StorageError, TransactionError
 from repro.persistence.checkpoint import read_checkpoint, write_checkpoint
 from repro.persistence.faults import flip_record_bit, truncate_tail
+from repro.persistence.manager import WAL_NAME
 from repro.persistence.wal import (
     WalScan,
     WriteAheadLog,
-    decode_wal_payload,
-    encode_commit_payload,
-    encode_undo_payload,
     repair_wal,
     scan_wal,
     wal_payload_spans,
 )
 from repro.core.database import Database
-from repro.storage.codec import save_database
-from repro.txn.log import Delta, SetAttrRecord
+from repro.storage.codec import encode_record, save_database
+from repro.txn.log import SetAttrRecord
 from repro.workloads.topologies import build_chain, sum_node_schema
 
 
@@ -34,6 +32,37 @@ def wal_with(path, payloads, sync=False):
 
 
 PAYLOADS = [{"type": "undo", "seq": i, "txn_id": i} for i in range(1, 4)]
+
+_SET_WITHOUT_ATTR = {"kind": "set", "iid": 1, "old": 0, "new": 1}
+
+#: checksum-valid payloads that are no WAL record, and how the refusal
+#: names them.
+MALFORMED = {
+    "no-type": ({"seq": 4, "txn_id": 1}, "seq 4"),
+    "no-seq": ({"type": "undo", "txn_id": 1}, "no seq"),
+    "commit-no-records": ({"type": "commit", "seq": 4, "txn_id": 1, "label": ""}, "seq 4"),
+    "set-no-attr": (
+        {"type": "commit", "seq": 4, "txn_id": 1, "label": "", "records": [_SET_WITHOUT_ATTR]},
+        "seq 4",
+    ),
+    "reorg-step-no-instances": ({"type": "reorg_step", "seq": 4, "epoch": 1, "step": 0}, "seq 4"),
+    "fed-send-no-channel": ({"type": "fed_send", "seq": 4, "fed_seq": 1, "changes": []}, "seq 4"),
+    "json-list": ([4, "commit"], "no seq"),
+}
+
+
+def _assert_refused(tmp_path, payload, named):
+    """Opening a directory whose log holds ``payload`` raises StorageError
+    naming it, and leaves the log as it was: the record is whole, so it is
+    no torn tail to cut."""
+    directory = tmp_path / "db"
+    directory.mkdir()
+    path = str(directory / WAL_NAME)
+    wal_with(path, [payload])
+    size = os.path.getsize(path)
+    with pytest.raises(StorageError, match=named):
+        Database.open(str(directory), sum_node_schema(), sync=False)
+    assert os.path.getsize(path) == size
 
 
 class TestFraming:
@@ -50,21 +79,48 @@ class TestFraming:
         assert scan.clean and scan.payloads == [] and scan.valid_bytes == 0
 
     def test_commit_payload_round_trip(self, tmp_path):
-        delta = Delta(txn_id=7, label="retune")
-        delta.records.append(SetAttrRecord(iid=1, attr="weight", old_value=2, new_value=9))
-        path = str(tmp_path / "wal.log")
-        wal_with(path, [encode_commit_payload(3, delta)])
-        kind, seq, decoded = decode_wal_payload(scan_wal(path).payloads[0])
-        assert (kind, seq) == ("commit", 3)
-        assert decoded == delta
+        path = str(tmp_path / "db")
+        db = Database.open(path, sum_node_schema(), sync=False)
+        iid = db.create("node", weight=2)
+        with db.transaction("retune"):
+            db.set_attr(iid, "weight", 9)
+        delta = db.txn.history[-1]
+        db.close()
+        payload = scan_wal(os.path.join(path, WAL_NAME)).payloads[-1]
+        assert payload == {
+            "type": "commit",
+            "seq": 2,
+            "txn_id": delta.txn_id,
+            "label": "retune",
+            "records": [
+                encode_record(SetAttrRecord(iid=iid, attr="weight", old_value=2, new_value=9))
+            ],
+        }
+        reopened = Database.open(path, sum_node_schema(), sync=False)
+        assert reopened.txn.history[-1] == delta
+        assert reopened.get_attr(iid, "weight") == 9
+        reopened.close()
 
-    def test_undo_payload_round_trip(self):
-        kind, seq, delta = decode_wal_payload(encode_undo_payload(5, Delta(txn_id=2)))
-        assert (kind, seq, delta) == ("undo", 5, None)
+    def test_undo_payload_round_trip(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = Database.open(path, sum_node_schema(), sync=False)
+        iid = db.create("node", weight=2)
+        db.set_attr(iid, "weight", 9)
+        undone = db.undo()
+        db.close()
+        payload = scan_wal(os.path.join(path, WAL_NAME)).payloads[-1]
+        assert payload == {"type": "undo", "seq": 3, "txn_id": undone.txn_id}
+        reopened = Database.open(path, sum_node_schema(), sync=False)
+        assert [d.txn_id for d in reopened.txn.history] == [1]
+        assert reopened.get_attr(iid, "weight") == 2
+        reopened.close()
 
-    def test_unknown_payload_type_rejected(self):
-        with pytest.raises(StorageError):
-            decode_wal_payload({"type": "mystery", "seq": 1})
+    def test_unknown_payload_type_rejected(self, tmp_path):
+        _assert_refused(tmp_path, {"type": "mystery", "seq": 1}, "seq 1")
+
+    @pytest.mark.parametrize("payload, named", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_payload_rejected(self, tmp_path, payload, named):
+        _assert_refused(tmp_path, payload, named)
 
     def test_sync_counts_fsyncs(self, tmp_path):
         wal = wal_with(str(tmp_path / "wal.log"), PAYLOADS, sync=True)

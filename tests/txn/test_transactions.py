@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.database import Database
 from repro.errors import TransactionError
-from repro.workloads import build_chain, link
+from repro.workloads import build_chain, link, sum_node_schema
 
 
 class TestExplicitTransactions:
@@ -136,6 +137,31 @@ class TestUndo:
         db.undo()
         assert db.get_attr(a, "weight") == 1
         assert not db.exists(b)
+
+    def test_read_only_transaction_leaves_no_trace(self, db):
+        """A transaction that records nothing enters no history: Undo after
+        it undoes the last writer, not the empty delta."""
+        iid = db.create("node", weight=1)
+        db.set_attr(iid, "weight", 5)
+        commits = db.txn.commits
+        with db.transaction("look"):
+            assert db.get_attr(iid, "weight") == 5
+        assert db.txn.commits == commits + 1
+        assert [len(delta) for delta in db.txn.history] == [1, 1]
+        db.undo()
+        assert db.get_attr(iid, "weight") == 1
+
+    def test_read_only_transaction_costs_no_durability_io(self, tmp_path):
+        db = Database.open(str(tmp_path / "db"), sum_node_schema(), sync=True)
+        iid = db.create("node", weight=1)
+        db.set_attr(iid, "weight", 5)
+        wal = db.metrics()["wal"]
+        with db.transaction("look"):
+            db.get_attr(iid, "weight")
+        after = db.metrics()["wal"]
+        assert (after["wal_bytes"], after["fsyncs"]) == (wal["wal_bytes"], wal["fsyncs"])
+        assert after["commits_logged"] == 2
+        db.close()
 
     def test_undo_ripple_correctness(self, db):
         """Undo restores values whose ripple was far larger than the delta."""

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.database import Database
 from repro.errors import VersionError
+from repro.persistence.faults import database_fingerprint
 from repro.versions import VersionStream
-from repro.workloads import build_chain
+from repro.workloads import build_chain, sum_node_schema
 
 
 @pytest.fixture
@@ -65,6 +67,16 @@ class TestCheckout:
         stream.checkout("v1", discard_pending=True)
         assert db.get_attr(nodes[0], "weight") == 1
 
+    def test_undone_work_is_not_tagged(self, versioned):
+        db, stream, nodes = versioned
+        db.set_attr(nodes[0], "weight", 5)
+        db.undo()
+        assert stream.pending == []
+        stream.tag("v2")
+        stream.checkout("v1")
+        stream.checkout("v2")
+        assert db.get_attr(nodes[0], "weight") == 1
+
     def test_structural_changes_cross_versions(self, versioned):
         db, stream, nodes = versioned
         db.delete(nodes[1])
@@ -82,6 +94,41 @@ class TestCheckout:
             stream.checkout("ghost")
         with pytest.raises(VersionError):
             stream.version(99)
+
+
+class TestDurableCheckout:
+    def test_checkout_survives_reopen(self, tmp_path):
+        """A checkout's replay reaches the disk: reopening lands on the
+        checked-out version plus what was committed after it."""
+        path = str(tmp_path / "db")
+        db = Database.open(path, sum_node_schema(), sync=False)
+        stream = VersionStream(db)
+        db.create("node", weight=1)
+        stream.tag("v1")
+        db.create("node", weight=2)
+        stream.tag("v2")
+        stream.checkout("v1")
+        db.create("node", weight=3)
+        assert db.instance_ids() == [1, 3]
+        live = database_fingerprint(db)
+        db.persistence.close()
+        reopened = Database.open(path, sum_node_schema(), sync=False)
+        assert reopened.instance_ids() == [1, 3]
+        assert database_fingerprint(reopened) == live
+        reopened.close()
+
+    def test_discarding_pending_work_survives_reopen(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = Database.open(path, sum_node_schema(), sync=False)
+        stream = VersionStream(db)
+        iid = db.create("node", weight=1)
+        stream.tag("v1")
+        db.set_attr(iid, "weight", 9)
+        stream.checkout("v1", discard_pending=True)
+        db.close()
+        reopened = Database.open(path, sum_node_schema(), sync=False)
+        assert reopened.get_attr(iid, "weight") == 1
+        reopened.close()
 
 
 class TestBranching:
