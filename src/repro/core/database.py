@@ -875,8 +875,16 @@ class Database:
                 self.engine.end_batch()
 
     def audit_constraints(self) -> None:
-        """Evaluate every unverified constraint; raises on violation."""
-        pending = self.engine.out_of_date_constraints | self._unchecked_constraints
+        """Evaluate every unverified constraint; raises on violation.
+
+        Pending are the never-checked constraint slots and the engine's
+        stale bucket of each constraint slot name; with none pending the
+        audit builds nothing.
+        """
+        pending = self._unchecked_constraints
+        for name, bucket in self.engine.stale_constraints:
+            if bucket:
+                pending = pending | {(iid, name) for iid in bucket}
         if not pending:
             return
         for slot in sorted(pending):

@@ -107,26 +107,42 @@ class Predicate:
         predicate.__name__ = self.description.replace(" ", "_")[:40] or "predicate"
         return predicate
 
-    def select(self, db, candidates: list[int]) -> list[int]:
+    def select(
+        self, db, candidates: list[int], limit: int | None = None
+    ) -> list[int]:
         """The candidates satisfying the predicate, in order (queries).
 
         Inputs come from :meth:`~repro.core.database.Database.read_inputs`
         -- clean slots read directly, out-of-date ones demanded -- and a
         compiled body runs through its positional closure.  The truth test
-        is ``bool()``'s, as in :meth:`_call`.
+        is ``bool()``'s, as in :meth:`_call`.  With a ``limit``, reading
+        stops once that many candidates match: the inputs of the rest are
+        never read, so their stale slots stay stale.
         """
         # Imported lazily: repro.compile reaches repro.dsl, which imports us.
         from repro.compile.codegen import CompiledBody
 
+        if limit is not None and limit <= 0:
+            return []
         rows = db.read_inputs(candidates, tuple(self.inputs.values()))
         fn = self.fn
         if isinstance(fn, CompiledBody) and fn.kwnames == tuple(self.inputs):
             body = fn.fn
+        else:
+            keys = tuple(self.inputs)
+
+            def body(*row: Any) -> Any:
+                return fn(**dict(zip(keys, row)))
+
+        if limit is None:
             return [iid for iid, row in zip(candidates, rows) if body(*row)]
-        keys = tuple(self.inputs)
-        return [
-            iid for iid, row in zip(candidates, rows) if fn(**dict(zip(keys, row)))
-        ]
+        selected: list[int] = []
+        for iid, row in zip(candidates, rows):
+            if body(*row):
+                selected.append(iid)
+                if len(selected) == limit:
+                    break
+        return selected
 
     def on_view(self, view) -> bool:
         """Evaluate directly against an :class:`InstanceView` (queries).

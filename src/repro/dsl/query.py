@@ -45,7 +45,15 @@ of :class:`repro.index.IndexManager`:
   from an attribute index bucket / ``bisect`` slice, with the residual
   conjuncts evaluated only over the narrowed candidates.
 * **index_order** -- ``order by`` answered by walking the index in key
-  order; a ``limit`` short-circuits the walk.
+  order; a ``limit`` short-circuits the walk.  When the order key also
+  carries a sarg, the walk starts and stops at the sarg's bound and
+  filters only its residual, priced at ``min(limit, matching)`` probes
+  when there is no residual -- a ranged top-k reads k rows, not every
+  match.
+
+Without an ``order by``, a ``limit`` also stops the filter of the scan,
+extent and sarg paths once that many candidates match
+(:meth:`Predicate.select`'s ``limit``): later candidates are never read.
 
 Every indexed path first *refreshes* the structures it reads (evaluating
 pending and stale derived slots -- see :mod:`repro.index.manager`) and
@@ -138,8 +146,15 @@ class Query:
         """The ``scan`` access path: :meth:`run_scan` over the read path."""
         candidates = db.instances_of(self.class_name)
         if self.predicate is not None:
-            candidates = self.predicate.select(db, candidates)
+            candidates = self._select(db, self.predicate, candidates)
         return self._order_and_limit(db, candidates)
+
+    def _select(
+        self, db: "Database", predicate: Predicate, candidates: list[int]
+    ) -> list[int]:
+        """Filter ``candidates``; unordered, stop once ``limit`` match."""
+        limit = self.limit if self.order_by is None else None
+        return predicate.select(db, candidates, limit)
 
     # ------------------------------------------------------------------
     # planning
@@ -206,6 +221,8 @@ class Query:
                     self, db, "extent", cost=cost, scan_cost=scan_cost
                 )
 
+        #: (sarg, pre-refresh match estimate) of every sarg an index serves
+        estimates: list[tuple[Sarg, int]] = []
         for sarg in self.sargs:
             index = mgr.find_index(self.class_name, sarg.attr)
             if index is None or not index.usable:
@@ -213,6 +230,7 @@ class Query:
             matching = self._estimate_matching(index, sarg)
             if matching is None:
                 continue
+            estimates.append((sarg, matching))
             sweep = len(index.pending) * (ops_of(sarg.attr) if index.derived else 0)
             cost = float(sweep + matching * (1 + pred_ops(sarg.residual)))
             if extent is not None:
@@ -230,19 +248,23 @@ class Query:
                 "num",
                 "str",
             ):
-                if self.limit is not None and self.predicate is None:
-                    examined = min(self.limit, n_candidates)
-                else:
-                    examined = n_candidates
+                # A sarg on the order key bounds the walk to its matching
+                # keys, leaving only its residual to filter.
+                bound, examined, residual = None, n_candidates, self.predicate
+                for sarg, matching in estimates:
+                    if sarg.attr == self.order_by and matching < examined:
+                        bound, examined, residual = sarg, matching, sarg.residual
+                if self.limit is not None and residual is None:
+                    examined = min(self.limit, examined)
                 sweep = len(index.pending) * (
                     ops_of(self.order_by) if index.derived else 0
                 )
-                cost = float(sweep + examined * (1 + full_ops))
+                cost = float(sweep + examined * (1 + pred_ops(residual)))
                 if extent is not None:
                     cost += len(extent.pending) * member_ops
                 if cost < best.cost:
                     best = QueryPlan(
-                        self, db, "index_order", index=index,
+                        self, db, "index_order", index=index, sarg=bound,
                         cost=cost, scan_cost=scan_cost,
                     )
 
@@ -406,7 +428,7 @@ class QueryPlan:
             mgr.refresh_extent(extent)
             candidates = sorted(extent.members)
             if query.predicate is not None:
-                candidates = query.predicate.select(db, candidates)
+                candidates = query._select(db, query.predicate, candidates)
             return query._order_and_limit(db, candidates)
 
         index = self.index
@@ -430,20 +452,33 @@ class QueryPlan:
                 iids = index.range(sarg.op, sarg.value)
             candidates = [iid for iid in iids if allowed(iid)]
             if sarg.residual is not None:
-                candidates = sarg.residual.select(db, candidates)
+                candidates = query._select(db, sarg.residual, candidates)
             return query._order_and_limit(db, candidates)
 
         # index_order: walk keys in order; buckets keep ascending iids, so
-        # equal keys reproduce the stable sort's tie order exactly.  The
-        # filter reads one candidate at a time, so a limit short-circuits
-        # the walk before later candidates' inputs are evaluated.
+        # equal keys reproduce the stable sort's tie order exactly.  A sarg
+        # on the order key starts and ends the walk at its bound (the keys
+        # are exact after the refresh), so only its residual is filtered.
+        # The filter reads one candidate at a time, so a limit
+        # short-circuits the walk before later candidates' inputs are
+        # evaluated.
         group = index.single_group()
         if group not in ("num", "str"):
             return _FALLBACK
-        predicate = query.predicate
+        sarg = self.sarg
+        if sarg is None:
+            keys = index.ordered_keys(query.descending)
+            predicate = query.predicate
+        else:
+            if sarg.op != "==" and group != group_of(sarg.value):
+                return _FALLBACK  # keys churned during refresh
+            keys = index.ordered_keys(query.descending, sarg.op, sarg.value)
+            predicate = sarg.residual
         limit = query.limit
         result: list[int] = []
-        for key in index.ordered_keys(query.descending):
+        if limit == 0:
+            return result
+        for key in keys:
             for iid in index.buckets[key]:
                 if not allowed(iid):
                     continue

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterable
 
-from repro.core.rules import is_constraint_attr, is_subtype_attr
+from repro.core.rules import constraint_attr_name, is_constraint_attr, is_subtype_attr
 from repro.core.slots import Slot
 from repro.errors import CycleError, RuleEvaluationError
 from repro.evaluation.counters import EvalCounters
@@ -105,9 +105,15 @@ class IncrementalEngine:
         #: hosts); carries the event hub and the wave/chunk latency timers.
         self._obs = getattr(host, "obs", None)
         self.out_of_date: set[Slot] = set()
-        #: the constraint-attribute subset of ``out_of_date``, maintained on
-        #: every add/discard so commit-time audits never scan the full set.
-        self.out_of_date_constraints: set[Slot] = set()
+        #: watched slot name -> iids whose slot of that name is in
+        #: ``out_of_date``, kept on every add/discard so a reader that cares
+        #: about one name (an index sweep, the commit-time constraint audit)
+        #: never scans the whole mark set.  Only the names
+        #: :meth:`watch_stale` registers have a bucket.
+        self.stale_by_name: dict[str, set[int]] = {}
+        #: ``(slot name, bucket)`` for every constraint slot name of the
+        #: schema: the audit's pending marks.
+        self.stale_constraints: tuple[tuple[str, set[int]], ...] = ()
         self.standing_demands: set[Slot] = set()
         #: flattened slot plans (repro.compile.slotplan): every inner loop's
         #: only view of rules, dependents, and bindings.
@@ -154,6 +160,28 @@ class IncrementalEngine:
 
     def is_out_of_date(self, slot: Slot) -> bool:
         return slot in self.out_of_date
+
+    def watch_stale(self, names: Iterable[str]) -> None:
+        """Keep a stale bucket for each of ``names`` and for every
+        constraint slot name of the host's schema, seeded from
+        ``out_of_date`` once; names watched before and not now lose theirs.
+        """
+        constraint_names = sorted(
+            {
+                constraint_attr_name(constraint.name)
+                for cls in self.host.schema.classes.values()
+                for constraint in cls.constraints
+            }
+        )
+        buckets: dict[str, set[int]] = {name: set() for name in names}
+        for name in constraint_names:
+            buckets[name] = set()
+        for iid, name in self.out_of_date:
+            bucket = buckets.get(name)
+            if bucket is not None:
+                bucket.add(iid)
+        self.stale_by_name = buckets
+        self.stale_constraints = tuple((name, buckets[name]) for name in constraint_names)
 
     # ------------------------------------------------------------------
     # batched waves
@@ -400,6 +428,9 @@ class IncrementalEngine:
         if slot in self.out_of_date:
             return  # raced with another path; cut short
         self.out_of_date.add(slot)
+        bucket = self.stale_by_name.get(slot[1])
+        if bucket is not None:
+            bucket.add(slot[0])
         self.counters.slots_marked += 1
         obs = self._obs
         if obs is not None and obs.hub.active:
@@ -415,11 +446,8 @@ class IncrementalEngine:
         sid = plan.index.get(slot[1])
         if sid is None:
             return
-        special = plan.special[sid]
-        if special == 1:  # constraint: always important
-            self.out_of_date_constraints.add(slot)
-            self._important_found.append(slot)
-        elif special == 2 or slot in self.standing_demands:
+        if plan.special[sid] or slot in self.standing_demands:
+            # constraint and membership slots are always important
             self._important_found.append(slot)
         self._plan_fanout(slot, plan, sid, plans)
 
@@ -583,6 +611,9 @@ class IncrementalEngine:
         old = self.host.read_slot_value(slot) if had_old else None
         self.host.write_slot_value(slot, value)
         self.out_of_date.discard(slot)
+        bucket = self.stale_by_name.get(slot[1])
+        if bucket is not None:
+            bucket.discard(iid)
         self.counters.rule_evaluations += 1
         unchanged = had_old and old == value
         if unchanged:
@@ -598,7 +629,6 @@ class IncrementalEngine:
                 self.host.usage.observe_io(slot[0], binding.port, float(io_spent))
         # Special slot families.
         if rexec.special == 1:
-            self.out_of_date_constraints.discard(slot)
             self.host.handle_constraint_result(slot, bool(value))
         elif rexec.special == 2:
             self.host.handle_subtype_result(slot, bool(value))
@@ -621,7 +651,9 @@ class IncrementalEngine:
     def forget_slot(self, slot: Slot) -> None:
         """Drop engine state about a slot (instance deletion)."""
         self.out_of_date.discard(slot)
-        self.out_of_date_constraints.discard(slot)
+        bucket = self.stale_by_name.get(slot[1])
+        if bucket is not None:
+            bucket.discard(slot[0])
         self.standing_demands.discard(slot)
 
     def restore_mark(self, slot: Slot) -> None:
@@ -629,11 +661,12 @@ class IncrementalEngine:
 
         Unlike :meth:`_mark_body` this neither fans out nor collects
         importance -- the mark is being *reinstated*, not discovered -- but
-        it keeps the constraint index consistent with ``out_of_date``.
+        it keeps the stale buckets consistent with ``out_of_date``.
         """
         self.out_of_date.add(slot)
-        if is_constraint_attr(slot[1]):
-            self.out_of_date_constraints.add(slot)
+        bucket = self.stale_by_name.get(slot[1])
+        if bucket is not None:
+            bucket.add(slot[0])
 
     def reset_wave(self) -> None:
         """Abandon an in-flight wave (a constraint vetoed the transaction).

@@ -19,12 +19,19 @@ keeps two auxiliary structures per index:
 
 A reader calls :meth:`IndexManager.refresh_attr_index` /
 :meth:`IndexManager.refresh_extent` before trusting a structure: the
-refresh demands every pending slot and every covered slot still marked in
-``engine.out_of_date`` whose name matches, after which the index is exact.
-This is the paper's demand-driven evaluation applied to a set-valued
-derived datum: the first query over a cold derived index pays the same
-evaluations the naive scan would, and every query after that is
+refresh demands every pending slot and every covered slot still marked
+out of date under the structure's slot name, after which the index is
+exact.  This is the paper's demand-driven evaluation applied to a
+set-valued derived datum: the first query over a cold derived index pays
+the same evaluations the naive scan would, and every query after that is
 incremental.
+
+A sweep reads one bucket.  :meth:`IndexManager.sync` registers the name of
+every derived index attribute and every extent's membership slot with the
+engine (``engine.watch_stale``), which keeps ``engine.stale_by_name[name]``
+-- the iids whose slot of that name is in ``engine.out_of_date`` -- on
+every mark and evaluation.  A refresh iterates that bucket, so its cost is
+the stale slots of its own name, not every mark the engine holds.
 """
 
 from __future__ import annotations
@@ -192,39 +199,40 @@ class AttrIndex:
         a mixed index must fall back to the scan path so that incomparable
         keys surface the same ``TypeError`` the naive evaluation raises.
         """
-        keys = self.keys_of_group.get(group_of(value), [])
-        if op == "<":
-            selected = keys[: bisect_left(keys, value)]
-        elif op == "<=":
-            selected = keys[: bisect_right(keys, value)]
-        elif op == ">":
-            selected = keys[bisect_right(keys, value):]
-        elif op == ">=":
-            selected = keys[bisect_left(keys, value):]
-        else:  # pragma: no cover - planner only emits the four range ops
-            raise ValueError(f"not a range operator: {op!r}")
         result: list[int] = []
-        for key in selected:
+        for key in self.ordered_keys(False, op, value):
             result.extend(self.buckets[key])
         result.sort()
         return result
 
     def count_range(self, op: str, value: Any) -> int:
-        keys = self.keys_of_group.get(group_of(value), [])
-        if op == "<":
-            selected = keys[: bisect_left(keys, value)]
-        elif op == "<=":
-            selected = keys[: bisect_right(keys, value)]
-        elif op == ">":
-            selected = keys[bisect_right(keys, value):]
-        else:
-            selected = keys[bisect_left(keys, value):]
-        return sum(len(self.buckets[key]) for key in selected)
+        buckets = self.buckets
+        return sum(len(buckets[key]) for key in self.ordered_keys(False, op, value))
 
-    def ordered_keys(self, descending: bool) -> list:
-        group = self.single_group()
-        keys = self.keys_of_group.get(group, []) if group else []
-        return list(reversed(keys)) if descending else list(keys)
+    def ordered_keys(self, descending: bool, op: str | None = None, value: Any = None):
+        """Distinct keys in walk order: all of the single group's, or --
+        given a sarg -- only those satisfying ``key <op> value``, found
+        with one ``bisect`` per end of ``value``'s group."""
+        if op is None:
+            group = self.single_group()
+            keys = self.keys_of_group.get(group, []) if group else []
+            lo, hi = 0, len(keys)
+        else:
+            keys = self.keys_of_group.get(group_of(value), [])
+            if op == "==":
+                lo, hi = bisect_left(keys, value), bisect_right(keys, value)
+            elif op == "<":
+                lo, hi = 0, bisect_left(keys, value)
+            elif op == "<=":
+                lo, hi = 0, bisect_right(keys, value)
+            elif op == ">":
+                lo, hi = bisect_right(keys, value), len(keys)
+            elif op == ">=":
+                lo, hi = bisect_left(keys, value), len(keys)
+            else:  # pragma: no cover - the planner emits only sarg operators
+                raise ValueError(f"not a comparison operator: {op!r}")
+        selected = keys[lo:hi]
+        return selected[::-1] if descending else selected
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -349,6 +357,13 @@ class IndexManager:
             for name in extent.cone:
                 extent_cover.setdefault(name, []).append(extent)
         self._extent_cover = {name: tuple(v) for name, v in extent_cover.items()}
+        # The engine keeps one stale bucket per name a sweep reads.
+        self.db.engine.watch_stale(
+            sorted(
+                {i.attr for i in self.attr_indexes.values() if i.derived}
+                | self.membership_names
+            )
+        )
         for iid, instance in self.db._catalog.items():
             self.note_create(iid, instance)
 
@@ -446,10 +461,8 @@ class IndexManager:
         covered = index.covered
         stale = [
             iid
-            for (iid, name) in list(db.engine.out_of_date)
-            if name == attr
-            and (inst := catalog.get(iid)) is not None
-            and inst.class_name in covered
+            for iid in db.engine.stale_by_name[attr]
+            if (inst := catalog.get(iid)) is not None and inst.class_name in covered
         ]
         pending = list(index.pending)
         if not stale and not pending:
@@ -474,10 +487,8 @@ class IndexManager:
         cone = extent.cone
         stale = [
             iid
-            for (iid, name) in list(db.engine.out_of_date)
-            if name == slot_name
-            and (inst := catalog.get(iid)) is not None
-            and inst.class_name in cone
+            for iid in db.engine.stale_by_name[slot_name]
+            if (inst := catalog.get(iid)) is not None and inst.class_name in cone
         ]
         pending = [iid for iid in extent.pending if iid in catalog]
         if not stale and not pending:

@@ -3,9 +3,10 @@
 Plain mode binds a server over a fresh sum-node database and serves until
 interrupted.  ``--smoke`` (what ``make server-check`` runs) starts a
 :class:`~repro.server.server.ServerThread`, drives a burst of concurrent
-client transactions -- including a deliberately failing one and an abrupt
-mid-transaction disconnect -- asserts exact accounting, shuts down
-cleanly, and exits non-zero on any discrepancy.
+client transactions -- including a deliberately failing one, an abrupt
+disconnect half-way through a transaction's frame, and a whole frame
+followed by a close -- asserts exact accounting, shuts down cleanly, and
+exits non-zero on any discrepancy.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import asyncio
 import sys
 import threading
+import time
 
 from repro.core.database import Database
 from repro.server.mux import ServerConfig
@@ -69,36 +71,68 @@ def _smoke(config: ServerConfig) -> int:
             if bad.status != "failed":
                 errors.append(f"expected failed status, got {bad.status!r}")
 
-        # ... and one abrupt disconnect mid-transaction: the server must
-        # roll it back without disturbing anything else.
-        raw = socket.create_connection((host, port))
-        raw.sendall(
-            encode_frame(
-                {"t": "txn", "id": 1, "ops": [["create", "node", {"weight": 1}]] * 64}
-            )
+        expected = clients * txns_per_client
+        nodes = 2 * expected
+        frame = encode_frame(
+            {"t": "txn", "id": 1, "ops": [["create", "node", {"weight": 1}]] * 64}
         )
-        raw.close()
-
         with ReproClient(host, port) as client:
-            metrics = client.metrics()
-        server = metrics["server"]
 
-    expected = clients * txns_per_client
+            def disconnect(payload: bytes) -> dict:
+                """Send ``payload`` on a raw socket, close it, and return the
+                server counters once the server has torn that connection
+                down (its transaction, if any, committed or rolled back)."""
+                closed = client.metrics()["server"]["connections_closed"]
+                raw = socket.create_connection((host, port))
+                raw.sendall(payload)
+                raw.close()
+                deadline = time.monotonic() + 30
+                while True:
+                    server = client.metrics()["server"]
+                    if (
+                        server["connections_closed"] > closed
+                        and server["txns_in_flight"] == 0
+                    ):
+                        return server
+                    if time.monotonic() > deadline:
+                        errors.append("the server did not tear a closed socket down")
+                        return server
+                    time.sleep(0.01)
+
+            # ... one abrupt disconnect mid-transaction, half a frame sent:
+            # the server never sees the transaction, and nothing else moves.
+            server = disconnect(frame[: len(frame) // 2])
+            if server["txns_committed"] != expected:
+                errors.append(
+                    f"server counted {server['txns_committed']} commits, "
+                    f"expected {expected}"
+                )
+            if len(db) != nodes:
+                errors.append(f"{len(db) - nodes} stray nodes after a half frame")
+
+            # ... and one whole frame, then a close: the server may commit
+            # the transaction before it reads the EOF, or roll it back, but
+            # never keep part of it.
+            server = disconnect(frame)
+            outcome = (server["txns_committed"], len(db) - nodes)
+            if outcome not in ((expected + 1, 64), (expected, 0)):
+                errors.append(
+                    f"a closed whole frame left {outcome[0]} commits and "
+                    f"{outcome[1]} new nodes: not all or nothing"
+                )
+            whole = "committed" if outcome[1] else "rolled back"
+
     if len(committed) != expected:
         errors.append(f"committed {len(committed)} of {expected} transactions")
     if failed:
         errors.append(f"unexpected failures from workers: {failed}")
-    if server["txns_committed"] != expected:
-        errors.append(
-            f"server counted {server['txns_committed']} commits, expected {expected}"
-        )
     if errors:
         for line in errors:
             print(f"smoke: FAIL: {line}", file=sys.stderr)
         return 1
     print(
         f"smoke: ok ({expected} transactions committed over {clients} connections, "
-        f"clean shutdown)"
+        f"half frame dropped, closed whole frame {whole}, clean shutdown)"
     )
     return 0
 

@@ -77,6 +77,12 @@ RETIRED_BACKEND = {
     "__wrapped__",
 }
 
+#: the second per-name record of out-of-date marks: constraint marks live
+#: in the engine's watched stale buckets (``stale_by_name``), like every
+#: name a reader sweeps, so no constraint-only set is an identifier.
+RETIRED_MARK_INDEXES = {"out_of_date_constraints"}
+
+
 #: a schema with a rule, a constraint and a membership predicate.
 BODIES_SRC = """
 object class task is
@@ -271,3 +277,12 @@ def test_no_fallback_metric():
     flat = Database(compile_schema(BODIES_SRC)).metrics().flatten()
     assert "compile.rules_compiled" in flat
     assert "compile.fallbacks" not in flat
+
+
+def test_out_of_date_marks_have_one_per_name_record():
+    offenders = sorted(
+        f"{module}: {name}"
+        for module, tree in _modules()
+        for name in _names(tree) & RETIRED_MARK_INDEXES
+    )
+    assert not offenders, f"a second per-name mark index is back: {offenders}"

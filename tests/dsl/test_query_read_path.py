@@ -127,6 +127,51 @@ class TestSameEvaluations:
         assert naive["engine.rule_evaluations"] == 1
         assert planned.engine.is_out_of_date((1, "flag"))
 
+    def test_scan_with_limit_stops_reading_at_the_limit(self):
+        """The scan path's twin of the ordered walk's short-circuit: with a
+        ``limit`` and no ``order by``, the filter stops once ``limit``
+        candidates match, and later candidates' inputs are never read."""
+        source = """
+        object class item is
+          attributes
+            cost : integer;
+            flag : boolean;
+          rules
+            flag = cost > 5;
+        end object;
+        """
+
+        def build() -> Database:
+            db = Database(compile_schema(source))
+            for __ in range(20):
+                db.create("item", cost=10)
+            for iid in db.instance_ids():
+                db.get_attr(iid, "flag")
+            return db
+
+        query = compile_query(build().schema, "select item where flag limit 3")
+        first = [1, 2, 3]  # the lowest iids: the scan's first matches
+        planned, reference = build(), build()
+        for db in (planned, reference):
+            for iid in first:
+                db.set_attr(iid, "cost", 9)  # stale inputs inside the limit
+        assert query.plan(planned).access_path == "scan"
+        result, fast = counted(planned, query.run)
+        expected, naive = counted(reference, query.run_scan)
+        assert result == expected == first
+        assert fast["engine.rule_evaluations"] == naive["engine.rule_evaluations"] == 3
+        assert fast["engine.demands"] == 3
+
+        # A stale input beyond the limit is never evaluated by the scan.
+        for db in (planned, reference):
+            db.set_attr(20, "cost", 8)
+        result, fast = counted(planned, query.run)
+        expected, naive = counted(reference, query.run_scan)
+        assert result == expected
+        assert fast["engine.rule_evaluations"] == 0
+        assert naive["engine.rule_evaluations"] == 1
+        assert planned.engine.is_out_of_date((20, "flag"))
+
 
 FEED = """
 relationship feed is

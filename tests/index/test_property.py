@@ -1,11 +1,14 @@
 """Property: indexed query results equal the naive scan, always (hypothesis).
 
-Random scripts of creates, updates, and deletes churn attribute values,
-derived slots, and predicate-subtype membership; after every script a
-battery of queries must answer identically through :meth:`Query.run`
-(planner, indexes, extents) and :meth:`Query.run_scan` (the naive
-reference) -- with rule bodies compiled and with every body swapped back
-to its interpreter (:func:`tests.references.interpreted`).
+Random scripts of creates, updates, deletes, undos and schema extensions
+(which drop or re-declare an index and re-sync the manager) churn
+attribute values, derived slots, and predicate-subtype membership; after
+every script a battery of queries must answer identically through
+:meth:`Query.run` (planner, indexes, extents) and :meth:`Query.run_scan`
+(the naive reference) -- with rule bodies compiled and with every body
+swapped back to its interpreter (:func:`tests.references.interpreted`).
+After every step, each stale bucket the engine watches equals the marks
+of its name in ``engine.out_of_date``.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,6 +32,8 @@ object class item is
     twice  : integer;
   rules
     twice = bucket * 2;
+  constraints
+    scored : score >= 0;
 end object;
 
 object class heavy_item subtype of item where score > 50 is
@@ -60,6 +65,18 @@ QUERIES = [
     "select item where twice == 4",
     "select heavy_item",
     "select heavy_item where bucket <= 2 order by score desc",
+    # bounded ordered walks: a sarg on the order key, with and without a
+    # residual, in both directions
+    "select item where score > 40 order by score desc limit 3",
+    "select item where score >= 40 order by score limit 4",
+    "select item where score < 60 order by score desc limit 5",
+    "select item where score <= 30 order by score",
+    "select item where score == 55 order by score desc",
+    "select item where twice > 2 order by twice desc limit 3",
+    "select item where twice >= 4 and not (bucket == 3) order by twice limit 2",
+    "select item where score > 20 and twice < 6 order by score desc limit 3",
+    "select heavy_item where score > 70 order by score limit 2",
+    "select item order by score desc limit 0",
     *UNSARGABLE,
 ]
 
@@ -74,22 +91,60 @@ def make_db(interpret: bool = False):
     return Database(schema, pool_capacity=256), schema
 
 
-ops_strategy = st.lists(
-    st.tuples(
-        st.sampled_from(["create", "set_bucket", "set_score", "delete", "query"]),
-        st.integers(min_value=0, max_value=200),
-        st.integers(min_value=0, max_value=100),
-    ),
-    min_size=1,
-    max_size=40,
-)
+PRIMITIVES = ["create", "set_bucket", "set_score", "delete", "query"]
+
+
+def script_strategy(kinds):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(kinds),
+            st.integers(min_value=0, max_value=200),
+            st.integers(min_value=0, max_value=100),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+#: scripts run inside one open transaction: primitives only.
+ops_strategy = script_strategy(PRIMITIVES)
+#: scripts of autocommitted steps, which can also be undone or extend
+#: the schema.
+steps_strategy = script_strategy([*PRIMITIVES, "undo", "extend"])
+
+
+def check_stale_buckets(db):
+    """Each watched bucket holds exactly the marks of its name, and the
+    watched names are the derived index attributes, the extents'
+    membership slots and the constraint slots."""
+    engine = db.engine
+    for name, bucket in engine.stale_by_name.items():
+        assert bucket == {iid for iid, n in engine.out_of_date if n == name}, name
+    mgr = db.indexes
+    watched = {i.attr for i in mgr.attr_indexes.values() if i.derived}
+    watched |= {e.slot_name for e in mgr.extents.values()}
+    watched |= {name for name, __ in engine.stale_constraints}
+    assert set(engine.stale_by_name) == watched
+    assert {name for name, __ in engine.stale_constraints} == {"__constraint__scored"}
 
 
 def run_script(db, schema, ops):
     """Apply the script, A/B-checking a query at every 'query' op."""
     live = []
     for op, a, b in ops:
-        if op == "create":
+        if op == "undo":
+            if db.txn.history:
+                db.undo()
+                live = list(db.instances_of("item"))
+        elif op == "extend":
+            # Drop or re-declare the derived index: sync re-registers the
+            # watched names and seeds a re-watched bucket from the marks.
+            with db.extend_schema() as extended:
+                if "twice" in extended.indexes.get("item", ()):
+                    extended.drop_index("item", "twice")
+                else:
+                    extended.add_index("item", "twice")
+        elif op == "create":
             live.append(db.create("item", bucket=a % 5, score=b))
         elif op == "set_bucket" and live:
             db.set_attr(live[a % len(live)], "bucket", b % 5)
@@ -102,10 +157,12 @@ def run_script(db, schema, ops):
             text = QUERIES[a % len(QUERIES)]
             query = compile_query(schema, text)
             assert query.run(db) == query.run_scan(db), text
+        check_stale_buckets(db)
     # Final sweep: every query in the battery agrees.
     for text in QUERIES:
         query = compile_query(schema, text)
         assert query.run(db) == query.run_scan(db), text
+        check_stale_buckets(db)
 
 
 def test_unsargable_queries_take_the_scan_path():
@@ -118,14 +175,34 @@ def test_unsargable_queries_take_the_scan_path():
         assert query.run(db) == query.run_scan(db), text
 
 
-@given(ops=ops_strategy)
+def test_a_ranged_top_k_walks_the_index_from_its_bound():
+    db, schema = make_db()
+    for i in range(40):
+        db.create("item", bucket=i % 5, score=(i * 37) % 100)
+    expected = {
+        "select item where score > 40 order by score desc limit 3": "index_order",
+        "select item where score >= 40 order by score limit 4": "index_order",
+        "select item where score == 55 order by score desc": "index_eq",
+        "select item where score > 20 and bucket == 2 order by score": "index_eq",
+    }
+    for text, path in expected.items():
+        query = compile_query(schema, text)
+        plan = query.plan(db)
+        assert plan.access_path == path, text
+        assert query.run(db) == query.run_scan(db), text
+    top = "select item where score > 40 order by score desc limit 3"
+    plan = compile_query(schema, top).plan(db)
+    assert plan.sarg is not None and plan.cost == 3.0
+
+
+@given(ops=steps_strategy)
 @settings(**COMMON)
 def test_indexed_equals_scan_compiled_engine(ops):
     db, schema = make_db()
     run_script(db, schema, ops)
 
 
-@given(ops=ops_strategy)
+@given(ops=steps_strategy)
 @settings(**COMMON)
 def test_indexed_equals_scan_interpreted_engine(ops):
     db, schema = make_db(interpret=True)
