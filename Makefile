@@ -1,6 +1,6 @@
 # Convenience targets for the Cactis reproduction.
 
-.PHONY: install test bench-check bench-gate examples ci lint-schema lint-src analysis-check obs-check server-check federation-check clean
+.PHONY: install test bench-check bench-gate examples ci lint-schema lint-src analysis-check obs-check server-check federation-check mem-report clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -43,6 +43,13 @@ server-check: ## live server smoke (start, drive 8 clients, clean shutdown)
 federation-check: ## 4-site placement smoke
 	PYTHONPATH=src python -m repro.distributed --smoke
 
+# PROJECTS=50 (10 000 instances) is the size docs/STORAGE.md's table uses;
+# CI runs a small one.
+PROJECTS ?= 50
+
+mem-report: ## tracemalloc census of a generated sum-node load, bytes/instance by allocation site
+	PYTHONPATH=src python tools/mem_report.py --projects $(PROJECTS)
+
 bench-check: ## the end-to-end harness's own quick traced pass (bench/trace.py wrappers resolve)
 	python3 -m pytest bench -q
 
@@ -70,6 +77,7 @@ ci: ## what .github/workflows/ci.yml runs
 	$(MAKE) obs-check
 	$(MAKE) server-check
 	$(MAKE) federation-check
+	$(MAKE) mem-report PROJECTS=5
 	$(MAKE) examples
 	$(MAKE) bench-check
 	$(MAKE) bench-gate

@@ -10,6 +10,10 @@ out, and what the undo log snapshots on delete.
 Connections are stored per port as an ordered list of
 :class:`Connection` pairs; ordering is observable (a ``Multi`` port's
 received values arrive in connection order) and is restored exactly by undo.
+
+Predicate-subtype membership is an immutable ``frozenset``: a flip replaces
+it, and every instance that belongs to no predicate subtype shares the one
+:data:`NO_SUBTYPES` constant, so membership costs nothing where it is empty.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from typing import Any
 from repro.errors import ConnectionError_
 
 
-@dataclass(frozen=True)
+#: the membership set of every instance outside all predicate subtypes
+#: (``frozenset()`` is not a singleton, so the sharing is explicit).
+NO_SUBTYPES: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True, slots=True)
 class Connection:
     """One end's view of a relationship connection: the peer and its port."""
 
@@ -41,8 +50,9 @@ class Instance:
         self.attrs: dict[str, Any] = {}
         #: port name -> ordered connections.
         self.connections: dict[str, list[Connection]] = {}
-        #: names of predicate subtypes this instance currently belongs to.
-        self.active_subtypes: set[str] = set()
+        #: names of predicate subtypes this instance currently belongs to;
+        #: replaced, never mutated, by a flip.
+        self.active_subtypes: frozenset[str] = NO_SUBTYPES
 
     # -- connections --------------------------------------------------------
 
@@ -117,7 +127,7 @@ class Instance:
             "connections": {
                 port: list(conns) for port, conns in self.connections.items()
             },
-            "active_subtypes": set(self.active_subtypes),
+            "active_subtypes": self.active_subtypes,
         }
 
     @classmethod
@@ -128,7 +138,7 @@ class Instance:
         inst.connections = {
             port: list(conns) for port, conns in snap["connections"].items()
         }
-        inst.active_subtypes = set(snap["active_subtypes"])
+        inst.active_subtypes = frozenset(snap["active_subtypes"]) or NO_SUBTYPES
         return inst
 
     def __repr__(self) -> str:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.instance import NO_SUBTYPES
 from repro.core.rules import Rule, constraint_attr_name
 from repro.core.slots import attr_slot
 
@@ -62,7 +63,7 @@ class SubtypeManager:
         instance = self.db.instance(iid)
         if subtype in instance.active_subtypes:
             return
-        instance.active_subtypes.add(subtype)
+        instance.active_subtypes = instance.active_subtypes | {subtype}
         self.db.indexes.note_attach(iid, subtype)
         self.db.slot_plans.invalidate_instance(iid)
         base_class = instance.class_name
@@ -92,7 +93,7 @@ class SubtypeManager:
         instance = self.db.instance(iid)
         if subtype not in instance.active_subtypes:
             return
-        instance.active_subtypes.discard(subtype)
+        instance.active_subtypes = instance.active_subtypes - {subtype} or NO_SUBTYPES
         self.db.indexes.note_detach(iid, subtype)
         self.db.slot_plans.invalidate_instance(iid)
         base_rules = self.db.schema.resolved(instance.class_name).rule_for

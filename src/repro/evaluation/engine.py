@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterable
 
-from repro.core.rules import constraint_attr_name, is_constraint_attr, is_subtype_attr
+from repro.core.rules import constraint_attr_name
 from repro.core.slots import Slot
 from repro.errors import CycleError, RuleEvaluationError
 from repro.evaluation.counters import EvalCounters
@@ -141,15 +141,8 @@ class IncrementalEngine:
         self._batch_seen_derived: set[Slot] = set()
 
     # ------------------------------------------------------------------
-    # importance
+    # standing demands
     # ------------------------------------------------------------------
-
-    def is_important(self, slot: Slot) -> bool:
-        """Constraint/subtype predicates and standing demands are important."""
-        name = slot[1]
-        if is_constraint_attr(name) or is_subtype_attr(name):
-            return True
-        return slot in self.standing_demands
 
     def register_demand(self, slot: Slot) -> None:
         """Give ``slot`` a standing demand: keep it evaluated eagerly."""

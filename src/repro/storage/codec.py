@@ -20,7 +20,7 @@ from itertools import islice
 from sys import intern
 from typing import Any, Iterable, Iterator, TYPE_CHECKING
 
-from repro.core.instance import Connection
+from repro.core.instance import NO_SUBTYPES, Connection
 from repro.errors import StorageError
 from repro.txn.log import (
     ConnectRecord,
@@ -174,7 +174,7 @@ def _decode_snapshot(payload: dict) -> dict:
             intern(port): [Connection(peer, intern(end)) for peer, end in conns]
             for port, conns in payload["connections"].items()
         },
-        "active_subtypes": {intern(name) for name in payload["subtypes"]},
+        "active_subtypes": frozenset(map(intern, payload["subtypes"])) or NO_SUBTYPES,
         "out_of_date": [intern(name) for name in payload["out_of_date"]],
     }
 

@@ -23,7 +23,7 @@ from typing import Iterable
 DEFAULT_DECAY = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class DecayingAverage:
     """An exponentially decaying average ``avg <- decay*avg + (1-decay)*x``.
 

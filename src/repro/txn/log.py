@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetAttrRecord:
     """An intrinsic attribute was assigned.
 
@@ -38,7 +38,7 @@ class SetAttrRecord:
     new_value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateRecord:
     """An instance was created (undo = delete it again).
 
@@ -51,7 +51,7 @@ class CreateRecord:
     intrinsics: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteRecord:
     """An instance was deleted; ``snapshot`` restores it on undo.
 
@@ -69,7 +69,7 @@ class DeleteRecord:
         return self.snapshot["iid"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnectRecord:
     """A relationship was established (undo = break it)."""
 
@@ -79,7 +79,7 @@ class ConnectRecord:
     port_b: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisconnectRecord:
     """A relationship was broken; indices restore connection order on undo."""
 
@@ -96,7 +96,7 @@ LogRecord = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Delta:
     """The ordered primitive-change records of one committed transaction.
 
@@ -122,19 +122,6 @@ class Delta:
             elif isinstance(record, DeleteRecord):
                 size += 32 + 16 * len(record.snapshot.get("attrs", ()))
         return size
-
-    def touched_instances(self) -> set[int]:
-        """Every instance id a record mentions (delta locality diagnostics)."""
-        touched: set[int] = set()
-        for record in self.records:
-            if isinstance(record, (SetAttrRecord, CreateRecord)):
-                touched.add(record.iid)
-            elif isinstance(record, DeleteRecord):
-                touched.add(record.iid)
-            else:
-                touched.add(record.iid_a)
-                touched.add(record.iid_b)
-        return touched
 
 
 def _value_size(value: Any) -> int:

@@ -31,7 +31,7 @@ from repro.errors import ConcurrencyAbort
 from repro.obs.events import TORejection
 
 
-@dataclass
+@dataclass(slots=True)
 class _Marks:
     read_ts: int = 0
     write_ts: int = 0

@@ -58,6 +58,10 @@ class TransactionManager:
         #: observers notified with each delta the Undo meta-action rolls
         #: back (the persistence manager's compensation record).
         self._undo_listeners: list[Callable[[Delta], None]] = []
+        #: checks shown the delta an Undo would roll back before anything
+        #: changes; one that raises refuses the Undo (a version stream
+        #: refuses work it has frozen into a version).
+        self._undo_guards: list[Callable[[Delta], None]] = []
         self._rolling_back = False
         self._autocommit_pending = False
         #: lifetime outcome counters (the ``txn`` metrics section).
@@ -91,6 +95,9 @@ class TransactionManager:
 
     def add_undo_listener(self, listener: Callable[[Delta], None]) -> None:
         self._undo_listeners.append(listener)
+
+    def add_undo_guard(self, guard: Callable[[Delta], None]) -> None:
+        self._undo_guards.append(guard)
 
     def _set_txn_context(self, txn_id: int | None) -> None:
         """Stamp the event hub so emissions attribute to this transaction."""
@@ -262,7 +269,10 @@ class TransactionManager:
             )
         if not self.history:
             raise TransactionError("no committed transaction to undo")
-        delta = self.history.pop()
+        delta = self.history[-1]
+        for guard in self._undo_guards:
+            guard(delta)
+        self.history.pop()
         self.replay(delta, undo=True)
         self.undos += 1
         for listener in self._undo_listeners:

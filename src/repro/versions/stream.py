@@ -62,13 +62,27 @@ class VersionStream:
         self.current: int = 0
         self.pending: list[Delta] = []
         db.txn.add_commit_listener(self.pending.append)
+        db.txn.add_undo_guard(self._guard_undo)
         db.txn.add_undo_listener(self._on_undo)
+
+    def _guard_undo(self, delta: Delta) -> None:
+        """Undo takes back untagged work only.  A delta frozen into a
+        version (or committed before the stream attached, or on a branch a
+        checkout has left) is part of what ``current`` names: undoing it
+        would leave ``current`` stale and a later checkout would replay its
+        inverse a second time.  Moving to an earlier state is a checkout."""
+        if not (self.pending and self.pending[-1] is delta):
+            raise VersionError(
+                f"cannot Undo transaction {delta.txn_id}: it is not untagged "
+                f"work of version stream {self.name!r} (current version "
+                f"{self.versions[self.current].name!r}); check out an earlier "
+                f"version instead"
+            )
 
     def _on_undo(self, delta: Delta) -> None:
         """An Undo of untagged work takes its delta out of ``pending``, or
         a later tag would freeze (and checkout replay) an undone change."""
-        if self.pending and self.pending[-1] is delta:
-            self.pending.pop()
+        self.pending.pop()
 
     # -- tagging ------------------------------------------------------------
 

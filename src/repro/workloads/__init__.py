@@ -11,6 +11,7 @@ from repro.workloads.generators import (
     SoftwareProject,
     build_random_dag,
     build_software_project,
+    load_sum_forest,
     random_update_script,
     run_update_script,
     skewed_access_pattern,
@@ -35,6 +36,7 @@ __all__ = [
     "build_software_project",
     "build_tree",
     "link",
+    "load_sum_forest",
     "random_update_script",
     "run_update_script",
     "skewed_access_pattern",

@@ -7,6 +7,8 @@
   generator; this is the clustering/scheduling workload (E4/E5): accesses
   concentrate inside components, so usage-based clustering has locality to
   discover.
+* :func:`load_sum_forest` -- many such projects in one database, loaded
+  and warm: the served workloads' graph shape, for memory measurements.
 * :func:`random_update_script` -- a reproducible stream of primitive
   updates and queries for soak/property testing.
 """
@@ -17,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.database import Database
-from repro.workloads.topologies import link
+from repro.workloads.topologies import link, sum_node_schema
 
 
 def build_random_dag(
@@ -109,6 +111,26 @@ def build_software_project(
         components=components,
         all_nodes=[iid for members in components for iid in members],
     )
+
+
+def load_sum_forest(projects: int) -> Database:
+    """``projects`` software projects of 200 sum nodes each, loaded and warm.
+
+    The served workloads' shape: 8 components of 25 modules, 3 cross links,
+    one batch transaction per project (so one undo ``Delta`` each), then
+    every project's tail demanded once.
+    """
+    db = Database(sum_node_schema())
+    tails = []
+    for k in range(projects):
+        with db.transaction("load", batch=True):
+            project = build_software_project(
+                db, n_components=8, modules_per_component=25, cross_links=3, seed=k
+            )
+        tails.append(project.all_nodes[-1])
+    for tail in tails:
+        db.get_attr(tail, "total")
+    return db
 
 
 def skewed_access_pattern(

@@ -2,7 +2,9 @@
 
 import pytest
 
-from tests.conftest import give_cars
+from repro.core.database import Database
+from repro.core.instance import NO_SUBTYPES
+from tests.conftest import give_cars, make_person_schema
 
 
 class TestMembership:
@@ -97,3 +99,73 @@ class TestDynamicUpdates:
         assert person_db.is_member(alice, "car_buff")
         person_db.undo()  # undoes the fourth car
         assert not person_db.is_member(alice, "car_buff")
+
+
+class TestCopyOnWriteMembership:
+    """A membership set is immutable: a flip replaces it, so instances
+    never share a set that one of them could change, and every instance
+    outside all predicate subtypes holds the one ``NO_SUBTYPES``."""
+
+    def test_two_instances_flip_independently(self, person_db):
+        alice = person_db.create("person", name="alice")
+        bob = person_db.create("person", name="bob")
+        assert person_db.instance(alice).active_subtypes is NO_SUBTYPES
+        assert person_db.instance(bob).active_subtypes is NO_SUBTYPES
+        give_cars(person_db, alice, 4)
+        alices = person_db.instance(alice).active_subtypes
+        assert alices == {"car_buff"}
+        assert person_db.instance(bob).active_subtypes is NO_SUBTYPES
+        bob_cars = give_cars(person_db, bob, 4)
+        bobs = person_db.instance(bob).active_subtypes
+        assert bobs == {"car_buff"} and bobs is not alices
+        person_db.disconnect(bob_cars[0], "owner", bob, "cars")
+        assert person_db.instance(bob).active_subtypes is NO_SUBTYPES
+        assert person_db.instance(alice).active_subtypes is alices == {"car_buff"}
+        assert person_db.instances_of("car_buff") == [alice]
+
+    def test_undo_of_a_flip_restores_membership(self, person_db):
+        alice = person_db.create("person", name="alice")
+        cars = give_cars(person_db, alice, 3)
+        fourth = person_db.create("automobile", model="gt")
+        person_db.connect(fourth, "owner", alice, "cars")
+        assert person_db.instance(alice).active_subtypes == {"car_buff"}
+        person_db.undo()  # the flip in
+        assert person_db.instance(alice).active_subtypes is NO_SUBTYPES
+        person_db.connect(fourth, "owner", alice, "cars")
+        person_db.disconnect(cars[0], "owner", alice, "cars")
+        assert person_db.instance(alice).active_subtypes is NO_SUBTYPES
+        person_db.undo()  # the flip out
+        assert person_db.instance(alice).active_subtypes == {"car_buff"}
+        assert person_db.is_member(alice, "car_buff")
+
+    def test_delete_and_undo_of_a_member(self, person_db):
+        alice = person_db.create("person", name="alice")
+        bob = person_db.create("person", name="bob")
+        give_cars(person_db, alice, 5)
+        person_db.delete(alice)
+        person_db.undo()
+        assert person_db.instance(alice).active_subtypes == {"car_buff"}
+        assert person_db.is_member(alice, "car_buff")
+        assert person_db.get_attr(alice, "car_count") == 5
+        person_db.delete(bob)
+        person_db.undo()
+        assert person_db.instance(bob).active_subtypes is NO_SUBTYPES
+        assert person_db.instances_of("car_buff") == [alice]
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = Database.open(path, make_person_schema(), sync=False)
+        people = [db.create("person", name=f"p{i}") for i in range(4)]
+        for person, cars in zip(people, (5, 0, 4, 2)):
+            give_cars(db, person, cars)
+        expected = {p: db.instance(p).active_subtypes for p in people}
+        db.checkpoint()
+        db.close()
+        reopened = Database.open(path, make_person_schema(), sync=False)
+        for person in people:
+            assert reopened.instance(person).active_subtypes == expected[person]
+        cars = [iid for iid in reopened.instance_ids() if iid not in people]
+        for iid in [people[1], people[3], *cars]:
+            assert reopened.instance(iid).active_subtypes is NO_SUBTYPES
+        assert reopened.instances_of("car_buff") == [people[0], people[2]]
+        reopened.close()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.database import Database
 from repro.errors import TransactionError
+from repro.txn.log import SetAttrRecord
 from repro.workloads import build_chain, link, sum_node_schema
 
 
@@ -182,8 +183,7 @@ class TestDeltaEconomy:
         db.begin()
         db.set_attr(nodes[0], "weight", 77)  # ripples through 500 nodes
         delta = db.commit()
-        assert len(delta) == 1
-        assert delta.touched_instances() == {nodes[0]}
+        assert delta.records == [SetAttrRecord(nodes[0], "weight", 1, 77)]
 
     def test_delta_size_scales_with_primitive_count_only(self, db):
         sizes = {}

@@ -96,6 +96,69 @@ class TestCheckout:
             stream.version(99)
 
 
+class TestUndoOfTaggedWork:
+    """Undo takes back untagged work only: a delta frozen into a version is
+    what ``current`` names, so undoing it would leave the stream stale and
+    a later checkout would replay its inverse a second time."""
+
+    def _refused(self, db, stream):
+        history, current = list(db.txn.history), stream.current
+        before = database_fingerprint(db)
+        with pytest.raises(VersionError, match="check out an earlier version"):
+            db.undo()
+        assert db.txn.history == history and stream.current == current
+        assert database_fingerprint(db) == before
+
+    def test_undo_of_a_tagged_set_is_refused(self):
+        db = Database(sum_node_schema())
+        stream = VersionStream(db)
+        a = db.create("node", weight=1)
+        stream.tag("v1")
+        db.set_attr(a, "weight", 5)
+        stream.tag("v2")
+        self._refused(db, stream)
+        assert db.get_attr(a, "weight") == 5
+        stream.checkout("v1")
+        assert db.get_attr(a, "weight") == 1
+        stream.checkout("v2")
+        assert db.get_attr(a, "weight") == 5
+
+    def test_undo_of_a_tagged_create_is_refused(self):
+        db = Database(sum_node_schema())
+        stream = VersionStream(db)
+        a = db.create("node", weight=1)
+        stream.tag("v1")
+        b = db.create("node", weight=2)
+        db.connect(b, "inputs", a, "outputs")
+        stream.tag("v2")
+        self._refused(db, stream)
+        assert db.instance_ids() == [a, b]
+        stream.checkout("v1")
+        assert db.instance_ids() == [a]
+        stream.checkout("v2")
+        assert db.instance_ids() == [a, b]
+        assert db.get_attr(b, "total") == 3
+
+    def test_undo_after_a_checkout_is_refused(self, versioned):
+        """History still ends with the work a checkout walked away from."""
+        db, stream, nodes = versioned
+        db.set_attr(nodes[0], "weight", 7)
+        stream.tag("v2")
+        stream.checkout("v1")
+        self._refused(db, stream)
+        assert db.get_attr(nodes[0], "weight") == 1
+
+    def test_untagged_work_is_still_undone(self, versioned):
+        db, stream, nodes = versioned
+        db.set_attr(nodes[0], "weight", 5)
+        db.set_attr(nodes[1], "weight", 6)
+        db.undo()
+        db.undo()
+        assert stream.pending == []
+        assert db.get_attr(nodes[-1], "total") == 4
+        self._refused(db, stream)
+
+
 class TestDurableCheckout:
     def test_checkout_survives_reopen(self, tmp_path):
         """A checkout's replay reaches the disk: reopening lands on the
