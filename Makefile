@@ -53,9 +53,10 @@ mem-report: ## tracemalloc census of a generated sum-node load, bytes/instance b
 bench-check: ## the end-to-end harness's own quick traced pass (bench/trace.py wrappers resolve)
 	python3 -m pytest bench -q
 
-# The ref bench-gate measures against: origin/main when there is one, else
-# the parent commit.  Override with `make bench-gate BASE=<git ref>`.
-BASE ?= $(shell git rev-parse -q --verify origin/main >/dev/null 2>&1 && echo origin/main || echo HEAD~1)
+# The ref bench-gate measures against: the parent commit (CI checks out two
+# commits deep, so on a pull request that is the base branch's tip).
+# Override with `make bench-gate BASE=<git ref>`.
+BASE ?= HEAD~1
 
 bench-gate: ## the two in-process workloads on BASE and on this tree: counters identical, end-to-end within bounds
 	@set -e; tmp=$$(mktemp -d); \

@@ -356,13 +356,14 @@ class PersistenceManager:
 
         The image is installed atomically *before* the WAL is truncated: a
         crash between the two leaves records the checkpoint already
-        contains, which recovery skips by sequence number.
+        contains, which recovery skips by sequence number.  Refused while
+        any transaction is live -- a served one between its steps too:
+        its writes are already in the state the image would save, and an
+        abort writes no WAL record to take them back.
         """
         assert self.db is not None and self._wal is not None
-        if self.db.txn.in_transaction:
-            raise TransactionError(
-                "cannot checkpoint while a transaction is active"
-            )
+        if self.db.txn.live:
+            raise TransactionError("cannot checkpoint while a transaction is live")
         write_checkpoint(
             self.db,
             self.checkpoint_path,

@@ -133,7 +133,7 @@ def recover_database(
                     )
                     txn.replay(delta, undo=False)
                     txn.history.append(delta)
-                    txn._next_txn_id = max(txn._next_txn_id, delta.txn_id + 1)
+                    txn.next_txn_id = max(txn.next_txn_id, delta.txn_id + 1)
                     report.replayed += 1
                 case "undo":
                     # Commit order is replay order, so the most recent
@@ -151,6 +151,7 @@ def recover_database(
                             f"{undone.txn_id}"
                         )
                     txn.replay(undone, undo=True)
+                    txn.next_txn_id = max(txn.next_txn_id, undone.txn_id + 1)
                     report.replayed += 1
                 case "reorg_begin" | "reorg_step" | "reorg_end":
                     # Steps re-run the live driver's deterministic group

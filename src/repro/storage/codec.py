@@ -35,7 +35,7 @@ from repro.txn.log import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _encode_line = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -187,15 +187,17 @@ def _decode_snapshot(payload: dict) -> dict:
 def dump_database(db: "Database", **header: Any) -> Iterator[dict]:
     """The image of a database's data, one JSON-ready record at a time.
 
-    A header (``format``, ``next_iid``, ``schema_classes`` and the caller's
-    ``header`` fields); each instance in block order, encoded as a delete
-    logs it plus its ``block``; each committed transaction as a ``delta``
-    record followed by its log records; a trailer counting them all.
+    A header (``format``, ``next_iid``, ``next_txn_id``, ``schema_classes``
+    and the caller's ``header`` fields); each instance in block order,
+    encoded as a delete logs it plus its ``block``; each committed
+    transaction as a ``delta`` record followed by its log records; a
+    trailer counting them all.
     """
     yield {
         "format": FORMAT_VERSION,
         **header,
         "next_iid": db.next_instance_id,
+        "next_txn_id": db.txn.next_txn_id,
         "schema_classes": sorted(db.schema.classes),
     }
     storage = db.storage
@@ -254,7 +256,6 @@ def restore_database(records: Iterable[dict], schema, **db_kwargs) -> tuple["Dat
                 if len(delta.records) != entry["records"]:
                     raise StorageError("image is cut short inside a transaction")
                 txn.history.append(delta)
-                txn._next_txn_id = max(txn._next_txn_id, delta.txn_id + 1)
                 counts["deltas"] += 1
                 counts["records"] += len(delta.records)
             elif entry.get("end") == counts and next(records, None) is None:
@@ -265,6 +266,7 @@ def restore_database(records: Iterable[dict], schema, **db_kwargs) -> tuple["Dat
             raise StorageError("image is cut short: no trailer")
         db.storage.start_block()
         db._next_iid = header["next_iid"]
+        txn.next_txn_id = header["next_txn_id"]
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise StorageError(f"unreadable image: {exc!r}") from exc
     return db, header

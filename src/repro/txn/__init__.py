@@ -2,8 +2,9 @@
 
 * :mod:`repro.txn.log` -- inverse records and first-class deltas (the
   paper's space-efficient rollback: log only the *initial* changes).
-* :mod:`repro.txn.transaction` -- transaction lifecycle, autocommit,
-  commit-time constraint audit, and the ``Undo`` meta-action.
+* :mod:`repro.txn.transaction` -- the one transaction model for embedded
+  and served work (one id allocator, one live-transaction table),
+  autocommit, commit-time constraint audit, and the ``Undo`` meta-action.
 * :mod:`repro.txn.timestamps` -- basic timestamp-ordering CC.
 * :mod:`repro.txn.manager` -- multi-user sessions and the deterministic
   interleaving scheduler with abort/restart.

@@ -22,11 +22,13 @@ everything, then step until drained -- and ``repro.server`` drives the same
 loop from asyncio, admitting transactions as client frames arrive and
 cancelling them (:meth:`cancel`) when a connection drops mid-transaction.
 
-Each session accumulates its own undo delta; the scheduler *adopts* the
-delta into the database's transaction manager around every step, so
-single-stream code paths (logging, rollback, commit audit) are reused
-unchanged.  Writes are visible immediately; see
-:mod:`repro.txn.timestamps` for the documented simplifications.
+A session's transaction is an ordinary transaction of the database's
+:class:`~repro.txn.transaction.TransactionManager`: its id comes from the
+manager's one allocator and is also its timestamp, its delta lives in the
+manager's live-transaction table, and the scheduler names it the current
+transaction once per step, so the primitives log to it.  Writes are
+visible immediately; see :mod:`repro.txn.timestamps` for the documented
+simplifications.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ Script = Callable[["Session"], Generator[None, None, None]]
 class Session:
     """One user's view of the database under timestamp CC.
 
+    ``ts`` is the id of the session's transaction, opened by :meth:`start`
+    and ended by :meth:`commit` or :meth:`rollback`.
+
     With ``track_marks=True`` the session journals every timestamp mark it
     places (and the mark it displaced), so :meth:`release_marks` can undo
     them if the transaction is torn down without committing -- the server
@@ -76,7 +81,6 @@ class Session:
         self.tsm = tsm
         self.name = name
         self.ts = 0
-        self._delta: Delta | None = None
         #: values returned by get_attr, for post-run assertions in tests.
         self.observations: list[Any] = []
         #: journal of (kind, iid, ts, displaced_mark) entries spanning every
@@ -93,12 +97,8 @@ class Session:
         # attempt's marks carry the old timestamp and stay journalled so a
         # later cancel can retract them too (release_marks) -- clearing
         # here would orphan them as permanent ghosts.
-        self.ts = self.tsm.new_timestamp()
-        self._delta = Delta(txn_id=self.ts, label=self.name)
-
-    def _adopted(self):
-        """Context manager routing the db's logging to this session's delta."""
-        return _Adoption(self)
+        self.ts = self.db.txn.start(self.name)
+        self.tsm.note_start()
 
     def _check_read(self, iid: int) -> int:
         tracked = self._mark_log is not None
@@ -150,33 +150,15 @@ class Session:
         self._mark_log.clear()
 
     def commit(self) -> Delta:
-        if self._delta is None:
-            raise TransactionError(f"session {self.name!r} has no open transaction")
-        delta, self._delta = self._delta, None
-        self.db.txn.adopt(delta)
-        try:
-            committed = self.db.txn.commit()
-        except BaseException:
-            # A commit-time rejection (e.g. a ConcurrencyAbort out of a
-            # commit-time check) leaves the delta adopted but uncommitted.
-            # Reclaim it so a subsequent rollback() can undo the work;
-            # without this the manager stays "in transaction" and the next
-            # adopted step blows up with a TransactionError.  When the
-            # manager itself already aborted (TransactionAborted from the
-            # constraint audit) there is nothing left to reclaim.
-            if self.db.txn.in_transaction:
-                self._delta = self.db.txn.release()
-            raise
+        committed = self.db.txn.commit(self.ts)
         self.tsm.note_commit()
         self.confirm_marks()
         return committed
 
     def rollback(self) -> None:
-        if self._delta is None:
-            return
-        delta, self._delta = self._delta, None
-        self.db.txn.adopt(delta)
-        self.db.txn.abort()
+        """Abort the session's transaction, if it is still live."""
+        if self.ts in self.db.txn.live:
+            self.db.txn.abort(self.ts)
 
     # -- primitives ------------------------------------------------------------
 
@@ -193,8 +175,7 @@ class Session:
         target = self.db.next_instance_id
         previous = self._check_write(target)
         try:
-            with self._adopted():
-                return self.db.create(class_name, **intrinsics)
+            return self.db.create(class_name, **intrinsics)
         except ConcurrencyAbort:
             raise
         except Exception:
@@ -203,59 +184,27 @@ class Session:
 
     def delete(self, iid: int) -> None:
         self._check_write(iid)
-        with self._adopted():
-            self.db.delete(iid)
+        self.db.delete(iid)
 
     def connect(self, iid_a: int, port_a: str, iid_b: int, port_b: str) -> None:
         self._check_write(iid_a)
         self._check_write(iid_b)
-        with self._adopted():
-            self.db.connect(iid_a, port_a, iid_b, port_b)
+        self.db.connect(iid_a, port_a, iid_b, port_b)
 
     def disconnect(self, iid_a: int, port_a: str, iid_b: int, port_b: str) -> None:
         self._check_write(iid_a)
         self._check_write(iid_b)
-        with self._adopted():
-            self.db.disconnect(iid_a, port_a, iid_b, port_b)
+        self.db.disconnect(iid_a, port_a, iid_b, port_b)
 
     def set_attr(self, iid: int, attr: str, value: Any) -> None:
         self._check_write(iid)
-        with self._adopted():
-            self.db.set_attr(iid, attr, value)
+        self.db.set_attr(iid, attr, value)
 
     def get_attr(self, iid: int, attr: str) -> Any:
         self._check_read(iid)
-        with self._adopted():
-            value = self.db.get_attr(iid, attr)
+        value = self.db.get_attr(iid, attr)
         self.observations.append(value)
         return value
-
-
-class _Adoption:
-    """Temporarily installs a session's delta as the db's active transaction."""
-
-    def __init__(self, session: Session) -> None:
-        self.session = session
-
-    def __enter__(self) -> None:
-        if self.session._delta is None:
-            raise TransactionError(
-                f"session {self.session.name!r} used outside the scheduler"
-            )
-        self.session.db.txn.adopt(self.session._delta)
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        txn = self.session.db.txn
-        if txn.in_transaction:
-            txn.release()
-        else:
-            # The primitive aborted the whole adopted transaction (e.g. a
-            # constraint violation): its work is already rolled back.  Give
-            # the session a fresh, empty delta so a script that handles the
-            # exception continues on a clean slate.
-            self.session._delta = Delta(
-                txn_id=self.session.ts, label=self.session.name
-            )
 
 
 @dataclass
@@ -372,7 +321,8 @@ class MultiUserScheduler:
     def step(self) -> "_ScriptState | None":
         """Advance one runnable script by one yield-to-yield slice.
 
-        Returns the stepped state, or ``None`` when nothing is live.  All
+        Returns the stepped state, or ``None`` when nothing is live.  The
+        script's transaction is the current one for the whole slice.  All
         of the restart/failure discipline lives here: a
         :class:`ConcurrencyAbort` (mid-script or at commit) rolls the
         script back and restarts it with a fresh timestamp until its
@@ -396,6 +346,8 @@ class MultiUserScheduler:
             state = self._states[self._cursor % len(self._states)]
             self._cursor += 1
         self._steps += 1
+        txn = self.db.txn
+        txn.enter(state.session.ts)
         hub = self._hub
         if hub is not None:
             hub.session = state.name
@@ -414,6 +366,7 @@ class MultiUserScheduler:
         except (ConstraintViolation, TransactionAborted) as exc:
             self._fail(state, exc)
         finally:
+            txn.leave()
             if hub is not None:
                 hub.session = None
         return state
@@ -542,7 +495,7 @@ class MultiUserScheduler:
 
         The session's remaining delta (if any) is rolled back; the other
         sessions keep running -- one user's constraint violation must not
-        abandon everyone else's adopted deltas mid-script.
+        abandon everyone else's transactions mid-script.
         """
         state.session.rollback()
         # The failure is terminal and answered: its marks stand as

@@ -4,8 +4,10 @@ The paper states that Cactis "uses a timestamping concurrency control
 technique" without further detail; this module implements the classic basic
 timestamp-ordering (TO) protocol at instance granularity:
 
-* every transaction receives a unique, monotonically increasing timestamp
-  at start (and a fresh one on each restart);
+* a transaction's timestamp is its transaction id, which the
+  :class:`~repro.txn.transaction.TransactionManager`'s one allocator hands
+  out at start (and afresh on each restart): unique and monotonically
+  increasing, and shared with embedded work;
 * a read of instance ``x`` by transaction ``T`` is rejected when
   ``ts(T) < write_ts(x)`` -- the value ``T`` should have seen was already
   overwritten by a younger transaction;
@@ -64,10 +66,9 @@ class CCStats:
 
 
 class TimestampManager:
-    """Issues transaction timestamps and enforces basic TO."""
+    """Enforces basic TO for timestamps it is given, and keeps the marks."""
 
     def __init__(self) -> None:
-        self._next_ts = 1
         self._marks: dict[int, _Marks] = {}
         self.stats = CCStats()
         #: optional :class:`repro.obs.EventHub` for TO-rejection events;
@@ -88,12 +89,6 @@ class TimestampManager:
                     conflict_kind=conflict_kind,
                 )
             )
-
-    def new_timestamp(self) -> int:
-        ts = self._next_ts
-        self._next_ts += 1
-        self.stats.transactions_started += 1
-        return ts
 
     def _marks_for(self, iid: int) -> _Marks:
         marks = self._marks.get(iid)
@@ -232,6 +227,9 @@ class TimestampManager:
         self._drop_reader(marks, ts)
         if ts > marks.stable_read_ts:
             marks.stable_read_ts = ts
+
+    def note_start(self) -> None:
+        self.stats.transactions_started += 1
 
     def note_commit(self) -> None:
         self.stats.transactions_committed += 1

@@ -5,11 +5,17 @@ the effect of forcing the rollback of one transaction.  This meta-action
 allows the user to freely explore the database, knowing that no actions need
 have permanent effect."
 
-:class:`TransactionManager` provides:
+:class:`TransactionManager` is the one transaction model: an embedded
+transaction and a served one (a :class:`~repro.txn.manager.Session`'s)
+are both a :class:`~repro.txn.log.Delta` in its ``live`` table, numbered
+by its one allocator ``next_txn_id`` -- so a transaction's id is also its
+timestamp.  It provides:
 
-* explicit transactions (``begin`` / ``commit`` / ``abort``);
-* autocommit -- a primitive issued outside a transaction becomes its own
-  one-record transaction, so Undo still applies to it;
+* the *current* transaction, the one the primitives log to: embedded work
+  is current from ``begin`` to its end, and the multi-user scheduler names
+  a session's transaction current for one step (``enter`` / ``leave``);
+* autocommit -- a primitive issued while no transaction is current
+  becomes its own one-record transaction, so Undo still applies to it;
 * commit-time constraint auditing: any constraint slot left out of date by
   the transaction is evaluated before commit, and a violation rolls the
   whole transaction back ("the constraint must be satisfied or the
@@ -43,13 +49,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class TransactionManager:
-    """Single-stream transaction control for one database."""
+    """Transaction control for one database: one id allocator, one table of
+    live transactions, one current transaction."""
 
-    def __init__(self, db: "Database", history_limit: int | None = None) -> None:
+    def __init__(self, db: "Database") -> None:
         self.db = db
-        self.history_limit = history_limit
+        #: the one transaction-id allocator; an id is also a TO timestamp.
+        #: Images and recovery carry it across a reopen.
+        self.next_txn_id = 1
+        #: live transactions (begun, neither committed nor aborted) by id.
+        self.live: dict[int, Delta] = {}
+        #: the current transaction: the one the primitives log to.
         self._active: Delta | None = None
-        self._next_txn_id = 1
+        #: id of the transaction the scheduler named for this step
+        #: (:meth:`enter` .. :meth:`leave`), or None.
+        self._step_txn: int | None = None
         #: committed transactions, oldest first.
         self.history: list[Delta] = []
         #: observers notified with each committed delta (version streams,
@@ -71,7 +85,7 @@ class TransactionManager:
         #: observability root of the owning database (guarded: tests build
         #: managers over bare stand-in hosts).
         self._obs = getattr(db, "obs", None)
-        #: True while the active explicit transaction holds an open engine
+        #: True while the current explicit transaction holds an open engine
         #: batch (closed at commit, abandoned at abort).
         self._engine_batched = False
 
@@ -79,6 +93,7 @@ class TransactionManager:
 
     @property
     def in_transaction(self) -> bool:
+        """True while a transaction is current."""
         return self._active is not None
 
     @property
@@ -87,7 +102,7 @@ class TransactionManager:
 
     @property
     def autocommit_pending(self) -> bool:
-        """True while the active transaction is a primitive's implicit one."""
+        """True while the current transaction is a primitive's implicit one."""
         return self._autocommit_pending
 
     def add_commit_listener(self, listener: Callable[[Delta], None]) -> None:
@@ -108,21 +123,19 @@ class TransactionManager:
     # -- logging (called by the database primitives) -------------------------
 
     def log(self, record: LogRecord) -> None:
-        """Record one primitive action into the active (or implicit) txn."""
+        """Record one primitive action into the current (or implicit) txn."""
         if self._rolling_back:
             return  # rollback replay must not log
-        if self._active is None:
+        active = self._active
+        if active is None:
             # Autocommit: wrap the single primitive in its own transaction.
             # The primitive has already executed by the time it logs, so the
             # implicit transaction is opened retroactively and committed by
             # the database right after the primitive returns.
-            self._active = Delta(txn_id=self._next_txn_id)
-            self._next_txn_id += 1
-            self._active.records.append(record)
+            active = self._active = self._open("")
             self._autocommit_pending = True
-            self._set_txn_context(self._active.txn_id)
-            return
-        self._active.records.append(record)
+            self._set_txn_context(active.txn_id)
+        active.records.append(record)
 
     def finish_autocommit(self) -> None:
         """Commit the implicit transaction opened by an unattended primitive."""
@@ -130,32 +143,55 @@ class TransactionManager:
             self._autocommit_pending = False
             self.commit()
 
-    # -- stream adoption (multi-user sessions) --------------------------------
-
-    def adopt(self, delta: Delta) -> None:
-        """Install a session's delta as the active transaction.
-
-        Used by :class:`repro.txn.manager.MultiUserScheduler` to route the
-        logging of one interleaved step into the owning session's delta.
-        """
-        if self._active is not None:
-            raise TransactionError("cannot adopt: a transaction is already active")
-        self._active = delta
-        self._set_txn_context(delta.txn_id)
-
-    def release(self) -> Delta:
-        """Detach the active (adopted) delta without committing or aborting."""
-        if self._active is None:
-            raise TransactionError("no active transaction to release")
-        delta = self._active
-        self._active = None
-        self._set_txn_context(None)
-        return delta
-
     # -- lifecycle ------------------------------------------------------------
 
+    def _open(self, label: str) -> Delta:
+        """Draw the next id and enter its transaction into the live table."""
+        txn_id = self.next_txn_id
+        self.next_txn_id = txn_id + 1
+        delta = self.live[txn_id] = Delta(txn_id=txn_id, label=label)
+        return delta
+
+    def start(self, label: str = "") -> int:
+        """Open a live transaction without making it current (a session's
+        start or restart); returns its id."""
+        return self._open(label).txn_id
+
+    def enter(self, txn_id: int) -> None:
+        """Make the live transaction ``txn_id`` current for one step."""
+        self._take(txn_id)
+        self._step_txn = txn_id
+
+    def leave(self) -> None:
+        """End the step: no transaction is current."""
+        self._active = self._step_txn = None
+        self._set_txn_context(None)
+
+    def _take(self, txn_id: int | None) -> Delta:
+        """The current transaction; when none is, ``txn_id`` names the live
+        one to make current."""
+        active = self._active
+        if active is None and txn_id is not None:
+            active = self.live.get(txn_id)
+        if active is None or txn_id not in (None, active.txn_id):
+            raise TransactionError(
+                "no active transaction"
+                if txn_id is None
+                else f"transaction {txn_id} cannot become current"
+            )
+        if active is not self._active:
+            self._active = active
+            self._set_txn_context(txn_id)
+        return active
+
+    def _end(self, delta: Delta) -> None:
+        del self.live[delta.txn_id]
+        self._active = None
+        self._autocommit_pending = False
+
     def begin(self, label: str = "", batch: bool = False) -> int:
-        """Open an explicit transaction; nesting is not supported.
+        """Open an explicit transaction and make it current; nesting is
+        not supported.
 
         With ``batch=True`` the transaction opens an engine batch:
         primitive updates defer their propagation into one coalesced wave
@@ -165,13 +201,12 @@ class TransactionManager:
         """
         if self._active is not None:
             raise TransactionError("a transaction is already active")
-        self._active = Delta(txn_id=self._next_txn_id, label=label)
-        self._next_txn_id += 1
-        self._set_txn_context(self._active.txn_id)
+        delta = self._active = self._open(label)
+        self._set_txn_context(delta.txn_id)
         if batch:
             self.db.engine.begin_batch()
             self._engine_batched = True
-        return self._active.txn_id
+        return delta.txn_id
 
     def _close_engine_batch(self) -> None:
         """Run the deferred wave of a batched transaction (commit path)."""
@@ -189,27 +224,22 @@ class TransactionManager:
             self.abort()
             raise
 
-    def commit(self) -> Delta:
-        """Audit constraints, then commit the active transaction."""
-        if self._active is None:
-            raise TransactionError("no active transaction to commit")
+    def commit(self, txn_id: int | None = None) -> Delta:
+        """Audit constraints, then commit the current transaction, or the
+        live transaction ``txn_id`` (a session's)."""
+        delta = self._take(txn_id)
         started = perf_counter()
         self._close_engine_batch()
         try:
             self.db.audit_constraints()
         except ConstraintViolation as violation:
-            self.abort()
+            self.abort(delta.txn_id)
             raise TransactionAborted(str(violation)) from violation
-        delta = self._active
-        self._active = None
-        self._autocommit_pending = False
+        self._end(delta)
         if delta.records:
             # A transaction that recorded nothing leaves no trace: no Undo
             # target, no WAL record, no version-stream entry.
             self.history.append(delta)
-            limit = self.history_limit
-            if limit is not None and len(self.history) > limit:
-                del self.history[: len(self.history) - limit]
             for listener in self._commit_listeners:
                 listener(delta)
         self.commits += 1
@@ -230,18 +260,22 @@ class TransactionManager:
             hub.txn = None
         return delta
 
-    def abort(self) -> None:
-        """Roll back and discard the active transaction."""
-        if self._active is None:
-            raise TransactionError("no active transaction to abort")
+    def abort(self, txn_id: int | None = None) -> None:
+        """Roll back and discard the current transaction, or the live
+        transaction ``txn_id`` (a session's rollback).
+
+        A primitive that aborts the transaction the scheduler named for
+        this step leaves it live and current under the same id with an
+        empty delta: the session goes on, and only its own commit or
+        rollback ends it.
+        """
+        delta = self._take(txn_id)
         if self._engine_batched:
             # Flush deferred marks (conservative, never wrong), skip the
             # wave tail: the state they describe is about to be rolled back.
             self._engine_batched = False
             self.db.engine.abandon_batch()
-        delta = self._active
-        self._active = None
-        self._autocommit_pending = False
+        self._end(delta)
         self.replay(delta, undo=True)
         self.aborts += 1
         obs = self._obs
@@ -255,7 +289,12 @@ class TransactionManager:
                         records=len(delta.records),
                     )
                 )
-            hub.txn = None
+        if txn_id is None and delta.txn_id == self._step_txn:
+            self.live[delta.txn_id] = self._active = Delta(
+                txn_id=delta.txn_id, label=delta.label
+            )
+        else:
+            self._set_txn_context(None)
 
     def undo(self) -> Delta:
         """The meta-action: roll back the most recently committed transaction.

@@ -225,7 +225,7 @@ class TestCheckpointFile:
         write_checkpoint(self._db(), path, wal_seq=4)
         db, header = read_checkpoint(path, sum_node_schema())
         assert header["wal_seq"] == 4
-        assert header["format"] == 2
+        assert header["format"] == 3
         assert db.instance_ids() == [1, 2]
 
     def test_missing_checkpoint_reads_none(self, tmp_path):
@@ -241,7 +241,7 @@ class TestCheckpointFile:
     def test_missing_fields_rejected(self, tmp_path):
         path = str(tmp_path / "checkpoint.json")
         with open(path, "w") as fh:
-            fh.write(json.dumps({"format": 2}) + "\n")
+            fh.write(json.dumps({"format": 3}) + "\n")
         with pytest.raises(StorageError):
             read_checkpoint(path, sum_node_schema())
         # A complete image without the WAL high-water mark is no checkpoint.

@@ -74,7 +74,7 @@ class TestDatabaseImage:
         path = tmp_path / "image.json"
         save_database(db, str(path))
         restored, header = load_database(str(path), sum_node_schema())
-        assert header["format"] == 2 and header["next_iid"] == max(nodes) + 1
+        assert header["format"] == 3 and header["next_iid"] == max(nodes) + 1
         assert restored.get_attr(nodes[-1], "total") == 15
         assert restored.get_attr(nodes[0], "weight") == 10
 

@@ -143,9 +143,9 @@ class TestCommitTimeConcurrencyAbort:
     ``TransactionManager.commit`` (a commit-time check) left that delta
     adopted-but-uncommitted inside the manager: the scheduler's restart
     rollback was a no-op (the session had no delta), and the next adopted
-    step raised ``TransactionError: cannot adopt``.  The session now
-    reclaims the stranded delta on the way out, so the restart rolls the
-    work back and the script re-runs to a real commit.
+    step raised ``TransactionError: cannot adopt``.  The delta now never
+    leaves the manager's table of live transactions, so the restart's
+    rollback aborts it by id and the script re-runs to a real commit.
     """
 
     def _run_with_flaky_commit(self, seed=None):

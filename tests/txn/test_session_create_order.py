@@ -46,7 +46,8 @@ def test_doomed_create_logs_nothing():
     session, __ = doomed_session(db)
     with pytest.raises(ConcurrencyAbort):
         session.create("node")
-    assert session._delta is not None and len(session._delta) == 0
+    delta = db.txn.live.get(session.ts)
+    assert delta is not None and len(delta) == 0
     # Rollback of the (empty) delta is a no-op rather than a cleanup.
     session.rollback()
     assert len(db) == 0
@@ -57,6 +58,7 @@ def test_successful_create_still_records_write_mark():
     tsm = TimestampManager()
     session = Session(db, tsm, "s")
     session.start()
+    db.txn.enter(session.ts)  # what a scheduler step does
     iid = session.create("node", weight=1)
     session.commit()
     # The write mark protects the created instance: an older reader must
@@ -87,6 +89,7 @@ class TestFailedCreateRetractsItsMark:
         assert not isinstance(excinfo.value, ConcurrencyAbort)
         # The older session now allocates the very id the failed create
         # targeted; a leftover ts=2 mark would abort it here.
+        db.txn.enter(older.ts)
         iid = older.create("node", weight=1)
         older.commit()
         assert db.get_attr(iid, "weight") == 1

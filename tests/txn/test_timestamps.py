@@ -2,62 +2,64 @@
 
 import pytest
 
+from repro.core.database import Database
 from repro.errors import ConcurrencyAbort
 from repro.txn.manager import Session
 from repro.txn.timestamps import TimestampManager
+from repro.workloads import sum_node_schema
 
 
 class TestProtocol:
     def test_timestamps_monotonic(self):
-        tsm = TimestampManager()
-        assert tsm.new_timestamp() < tsm.new_timestamp()
+        txn = Database(sum_node_schema()).txn
+        assert txn.start() < txn.start()
 
     def test_read_after_older_write_ok(self):
         tsm = TimestampManager()
-        t1, t2 = tsm.new_timestamp(), tsm.new_timestamp()
+        t1, t2 = 1, 2
         tsm.check_write(t1, 7)
         tsm.check_read(t2, 7)  # younger reads older write: fine
 
     def test_read_of_younger_write_aborts(self):
         tsm = TimestampManager()
-        t1, t2 = tsm.new_timestamp(), tsm.new_timestamp()
+        t1, t2 = 1, 2
         tsm.check_write(t2, 7)
         with pytest.raises(ConcurrencyAbort):
             tsm.check_read(t1, 7)
 
     def test_write_after_younger_read_aborts(self):
         tsm = TimestampManager()
-        t1, t2 = tsm.new_timestamp(), tsm.new_timestamp()
+        t1, t2 = 1, 2
         tsm.check_read(t2, 7)
         with pytest.raises(ConcurrencyAbort):
             tsm.check_write(t1, 7)
 
     def test_write_after_younger_write_aborts(self):
         tsm = TimestampManager()
-        t1, t2 = tsm.new_timestamp(), tsm.new_timestamp()
+        t1, t2 = 1, 2
         tsm.check_write(t2, 7)
         with pytest.raises(ConcurrencyAbort):
             tsm.check_write(t1, 7)
 
     def test_serial_transaction_passes_all_checks(self):
         tsm = TimestampManager()
-        t1 = tsm.new_timestamp()
+        t1 = 1
         tsm.check_read(t1, 1)
         tsm.check_write(t1, 1)
         tsm.check_read(t1, 1)
-        t2 = tsm.new_timestamp()
+        t2 = 2
         tsm.check_read(t2, 1)
         tsm.check_write(t2, 1)
 
     def test_independent_instances_never_conflict(self):
         tsm = TimestampManager()
-        t1, t2 = tsm.new_timestamp(), tsm.new_timestamp()
+        t1, t2 = 1, 2
         tsm.check_write(t2, 1)
         tsm.check_write(t1, 2)  # different instance: fine
 
     def test_read_marks_advance_monotonically(self):
         tsm = TimestampManager()
-        t1, t2, t3 = (tsm.new_timestamp() for __ in range(3))
+        t1, t2, t3 = 1, 2, 3
         tsm.check_read(t3, 7)
         tsm.check_read(t1, 7)  # reading older is fine
         with pytest.raises(ConcurrencyAbort):
@@ -72,7 +74,7 @@ class TestReadMarkRetraction:
 
     def test_retraction_preserves_intermediate_reader(self):
         tsm = TimestampManager()
-        t1, t2, t3, t4 = (tsm.new_timestamp() for __ in range(4))
+        t1, t2, t3, t4 = 1, 2, 3, 4
         tsm.check_read(t1, 7, track=True)
         tsm.check_read(t4, 7, track=True)  # journalled previous mark: t1
         tsm.check_read(t3, 7, track=True)  # intermediate; max stays t4
@@ -82,7 +84,7 @@ class TestReadMarkRetraction:
 
     def test_retracting_every_reader_frees_the_record(self):
         tsm = TimestampManager()
-        t1, t2, t3 = (tsm.new_timestamp() for __ in range(3))
+        t1, t2, t3 = 1, 2, 3
         tsm.check_read(t2, 7, track=True)
         tsm.check_read(t3, 7, track=True)
         tsm.retract_read(t3, 7, t2)
@@ -91,7 +93,7 @@ class TestReadMarkRetraction:
 
     def test_confirmed_read_survives_later_retractions(self):
         tsm = TimestampManager()
-        t1, t2, t3, t4 = (tsm.new_timestamp() for __ in range(4))
+        t1, t2, t3, t4 = 1, 2, 3, 4
         tsm.check_read(t3, 7, track=True)
         tsm.confirm_read(t3, 7)  # t3 committed: its read stands forever
         tsm.check_read(t4, 7, track=True)
@@ -101,7 +103,7 @@ class TestReadMarkRetraction:
 
     def test_untracked_reads_are_never_retracted(self):
         tsm = TimestampManager()
-        t1, t2, t3 = (tsm.new_timestamp() for __ in range(3))
+        t1, t2, t3 = 1, 2, 3
         tsm.check_read(t2, 7)  # a batch (untracked) reader
         tsm.check_read(t3, 7, track=True)
         tsm.retract_read(t3, 7, t2)
@@ -110,7 +112,7 @@ class TestReadMarkRetraction:
 
     def test_repeated_reads_by_one_transaction_balance(self):
         tsm = TimestampManager()
-        t1, t2 = tsm.new_timestamp(), tsm.new_timestamp()
+        t1, t2 = 1, 2
         tsm.check_read(t2, 7, track=True)
         tsm.check_read(t2, 7, track=True)
         tsm.retract_read(t2, 7, 0)
@@ -128,7 +130,7 @@ class TestSessionMarkJournal:
 
     def test_cancel_after_restart_retracts_all_attempts_marks(self):
         tsm = TimestampManager()
-        session = Session(None, tsm, "s", track_marks=True)
+        session = Session(Database(sum_node_schema()), tsm, "s", track_marks=True)
         session.start()
         session._check_write(7)
         session._check_read(8)
@@ -140,7 +142,7 @@ class TestSessionMarkJournal:
 
     def test_confirm_seals_marks_against_later_release(self):
         tsm = TimestampManager()
-        session = Session(None, tsm, "s", track_marks=True)
+        session = Session(Database(sum_node_schema()), tsm, "s", track_marks=True)
         session.start()
         session._check_read(8)
         session.confirm_marks()  # terminal outcome: the marks stand
@@ -151,7 +153,7 @@ class TestSessionMarkJournal:
 class TestStats:
     def test_rejections_counted(self):
         tsm = TimestampManager()
-        t1, t2 = tsm.new_timestamp(), tsm.new_timestamp()
+        t1, t2 = 1, 2
         tsm.check_write(t2, 7)
         with pytest.raises(ConcurrencyAbort):
             tsm.check_read(t1, 7)
@@ -160,7 +162,7 @@ class TestStats:
 
     def test_forget_instance_clears_marks(self):
         tsm = TimestampManager()
-        t1, t2 = tsm.new_timestamp(), tsm.new_timestamp()
+        t1, t2 = 1, 2
         tsm.check_write(t2, 7)
         tsm.forget_instance(7)
         tsm.check_read(t1, 7)  # marks gone: no conflict

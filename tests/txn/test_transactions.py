@@ -164,6 +164,13 @@ class TestUndo:
         assert after["commits_logged"] == 2
         db.close()
 
+    def test_unlimited_by_default(self):
+        db = Database(sum_node_schema())
+        iid = db.create("node")
+        for value in range(20):
+            db.set_attr(iid, "weight", value + 1)
+        assert len(db.txn.history) == 21  # create + 20 sets
+
     def test_undo_ripple_correctness(self, db):
         """Undo restores values whose ripple was far larger than the delta."""
         nodes = build_chain(db, 100)
