@@ -37,6 +37,10 @@ Names are not resolved here: every ``Name``, ``FieldRef`` and ``For Each``
 is emitted from the binding :mod:`repro.dsl.resolve` gave it.  The
 resolver reports every unknown name, function or port as a compile error,
 so a body that reaches this module always emits.
+
+The query read path's per-candidate loop is generated here too
+(:func:`compile_reader`): one reader per input signature, from canonical
+source, which a query's compiled ``where`` body is passed into.
 """
 
 from __future__ import annotations
@@ -351,3 +355,118 @@ def compile_body(
     return CompiledBody(
         fn, tuple(inputs), source, resolution, functions, constants, name
     )
+
+
+# ---------------------------------------------------------------------------
+# the query read path's candidate reader
+# ---------------------------------------------------------------------------
+
+#: input kinds of a reader signature, one letter per declared input.
+LOCAL, SELF, RECEIVED = "L", "S", "R"
+
+_READER_PARAMS = (
+    "iids, names, inputs, body, limit, instance_of, cached_plan, marked, "
+    "counters, placement, frames, stats, accesses, touch, slow"
+)
+
+
+#: a slot no evaluation has stored yet.
+_MISSING = object()
+
+#: signature -> reader.  The signature fixes the canonical source (see
+#: :func:`reader_source`), so keying on it caches on the source.
+_READERS: dict[tuple[str, ...], Callable[..., list]] = {}
+
+
+def reader_source(kinds: tuple[str, ...]) -> str:
+    """The canonical source of the reader for one input signature.
+
+    ``kinds`` names each declared input's kind in order (:data:`LOCAL`,
+    :data:`SELF`, :data:`RECEIVED`).  The emitted ``_reader`` loops over
+    the candidates once, unrolled over the inputs (``v<i>`` is input
+    ``i``'s value, ``n<i>`` a ``Local`` input's attribute name).  A
+    candidate whose instance and slot plan are at hand and whose ``Local``
+    slots are all stored, declared and clean is read in place: one demand
+    counted per ``Local`` input and one touch, the one-frame hit inline
+    (``Database.read_inputs`` and ``StorageManager.frame_hit`` say what
+    each parameter is).  Any other candidate -- a stale or never-evaluated
+    slot, an unreadable name, a missing instance, and every candidate of a
+    signature with a ``Received`` input -- takes one ``slow(iid, inputs)``
+    step.  With a ``body`` the reader returns the candidates whose values
+    satisfy it, stopping at ``limit`` matches; without one, each
+    candidate's values as a tuple.
+    """
+    values = [f"v{i}" for i in range(len(kinds))]
+    locals_ = [i for i, kind in enumerate(kinds) if kind == LOCAL]
+    row = _tuple(values)
+    slow = f"{row} = slow(iid, inputs)" if values else "slow(iid, inputs)"
+    lines = [f"def _reader({_READER_PARAMS}):"]
+    if locals_ and RECEIVED not in kinds:
+        lines.append(f"    {_tuple([f'n{i}' for i in locals_])} = names")
+        lines.append("    move_to_end = frames.move_to_end")
+        lines.append("    missing = _MISSING")
+    lines += ["    out = []", "    for iid in iids:"]
+    if RECEIVED in kinds:
+        lines.append(f"        {slow}")
+    elif not locals_:
+        lines += [
+            "        if instance_of(iid) is None or cached_plan(iid) is None:",
+            "            slow(iid, inputs)",
+        ]
+        lines += [f"        {value} = iid" for value in values]
+    else:
+        lines += [
+            "        instance = instance_of(iid)",
+            "        plan = cached_plan(iid)",
+            "        if instance is None or plan is None:",
+            f"            {slow}",
+            "        else:",
+            "            attrs = instance.attrs",
+            "            attributes = plan.attributes",
+        ]
+        for i, kind in enumerate(kinds):
+            value = f"attrs.get(n{i}, missing)" if kind == LOCAL else "iid"
+            lines.append(f"            v{i} = {value}")
+        clean = " and ".join(
+            f"v{i} is not missing and n{i} in attributes and (iid, n{i}) not in marked"
+            for i in locals_
+        )
+        lines += [
+            f"            if {clean}:",
+            f"                counters.demands += {len(locals_)}",
+            "                block = placement(iid)",
+            "                if block in frames:",
+            "                    stats.hits += 1",
+            "                    move_to_end(block)",
+            "                    accesses[iid] += 1",
+            "                else:",
+            "                    touch(iid)",
+            "            else:",
+            f"                {slow}",
+        ]
+    lines += [
+        "        if body is None:",
+        f"            out.append({'(' + row + ')' if values else '()'})",
+        f"        elif body({', '.join(values)}):",
+        "            out.append(iid)",
+        "            if len(out) == limit:",
+        "                break",
+        "    return out",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _tuple(items: list[str]) -> str:
+    """A tuple display (or unpacking target) without parentheses."""
+    return ", ".join(items) + ("," if len(items) == 1 else "")
+
+
+def compile_reader(kinds: tuple[str, ...]) -> Callable[..., list]:
+    """The reader for one input signature, generated on first use."""
+    reader = _READERS.get(kinds)
+    if reader is None:
+        namespace: dict[str, Any] = {"_MISSING": _MISSING}
+        code = compile(reader_source(kinds), "<repro.compile reader>", "exec")
+        exec(code, namespace)  # noqa: S102
+        reader = _READERS[kinds] = namespace.pop("_reader")
+    return reader

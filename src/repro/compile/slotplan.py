@@ -357,6 +357,9 @@ class SlotPlanCache:
         self._db = db
         self._by_key: dict[tuple, SlotPlan] = {}
         self._by_iid: dict[int, SlotPlan] = {}
+        #: the plan already built for an iid, or None: :meth:`plan_of`'s
+        #: first lookup, which never builds (the query reader's fast path).
+        self.cached_plan = self._by_iid.get
         self.plans_built = 0
 
     def plan_of(self, iid: int) -> SlotPlan | None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
+from repro.compile.codegen import LOCAL, RECEIVED, SELF, compile_reader
 from repro.core.instance import Connection, Instance
 from repro.core.rules import (
     Constraint,
@@ -1017,9 +1018,13 @@ class Database:
     # -- the query read path ---------------------------------------------------
 
     def read_inputs(
-        self, iids: list[int], inputs: Sequence[Input]
-    ) -> Iterator[list[Any]]:
-        """Yield each candidate's values for ``inputs``: a query's read path.
+        self,
+        iids: list[int],
+        inputs: Sequence[Input],
+        body: Callable[..., Any] | None = None,
+        limit: int | None = None,
+    ) -> list:
+        """Read each candidate's values for ``inputs``: a query's read path.
 
         A query is one demand over many slots (section 2.2).  Each
         candidate's record is touched once and its clean values are read
@@ -1030,53 +1035,82 @@ class Database:
         the same order, without paying that call chain per input.
         ``Received`` values come through :meth:`get_transmitted`.  A read
         the direct path cannot resolve takes ``get_attr``'s checks, so
-        errors are the same.  One demand is counted per slot served.  Rows
-        are yielded lazily: the caller's work on one candidate (a
-        ``where`` body) runs before the next candidate is read.
+        errors are the same.  One demand is counted per slot served.
+
+        With a ``body`` -- a positional predicate over one candidate's
+        values, in ``inputs`` order -- the result is the candidates it
+        holds for, and reading stops once ``limit`` of them match: the body
+        runs on one candidate before the next is read.  Without one, the
+        result is each candidate's values as a tuple.
+
+        The loop is the reader :func:`~repro.compile.codegen.compile_reader`
+        generates for the inputs' signature; a candidate it cannot read in
+        place takes :meth:`_read_candidate`.
+        """
+        kinds = tuple(
+            LOCAL if isinstance(decl, Local) else RECEIVED if isinstance(decl, Received) else SELF
+            for decl in inputs
+        )
+        names = tuple(decl.attr for decl in inputs if isinstance(decl, Local))
+        engine = self.engine
+        engine.settle_marks()
+        return compile_reader(kinds)(
+            iids,
+            names,
+            inputs,
+            body,
+            limit,
+            self._catalog.get,
+            self.slot_plans.cached_plan,
+            engine.out_of_date,
+            engine.counters,
+            *self.storage.frame_hit(),
+            self.storage.touch,
+            self._read_candidate,
+        )
+
+    def _read_candidate(self, iid: int, inputs: Sequence[Input]) -> list[Any]:
+        """One candidate's values for ``inputs``, each slot as its own read.
+
+        The reader's step for a candidate it cannot read in place.  Inputs
+        are read in order: a clean ``Local`` slot straight from storage
+        (the record is touched at the first one), a stale or missing one
+        through :meth:`IncrementalEngine.demand`, ``Received`` values
+        through :meth:`_received_input`, and an unreadable name raises what
+        ``get_attr`` raises.
         """
         engine = self.engine
-        catalog = self._catalog
-        plan_of = self.slot_plans.plan_of
-        marked = engine.out_of_date
-        counters = engine.counters
-        touch = self.storage.touch
-        # Local inputs by attribute name; anything else by declaration.
-        reads = [
-            (decl.attr, None) if isinstance(decl, Local) else (None, decl)
-            for decl in inputs
-        ]
-        engine.settle_marks()
-        for iid in iids:
-            instance = catalog.get(iid)
-            if instance is None:
-                self.instance(iid)  # raises UnknownInstanceError
-            attributes = plan_of(iid).attributes
-            attrs = instance.attrs
-            touched = False
-            row: list[Any] = []
-            for name, decl in reads:
-                if name is None:
-                    if isinstance(decl, Received):
-                        row.append(self._received_input(iid, instance, decl))
-                    else:  # SelfRef
-                        row.append(iid)
-                    continue
-                if name not in attributes:
-                    self._readable_slot(iid, name)  # raises unless special
-                value = attrs.get(name, _MISSING)
-                if value is _MISSING or (iid, name) in marked:
-                    value = engine.demand((iid, name))
-                    # Evaluating it can flip a subtype; inside a batch the
-                    # flip's re-marking is deferred and must land before
-                    # the next direct read.
-                    engine.settle_marks()
-                else:
-                    counters.demands += 1
-                    if not touched:
-                        touch(iid)
-                        touched = True
-                row.append(value)
-            yield row
+        instance = self._catalog.get(iid)
+        if instance is None:
+            self.instance(iid)  # raises UnknownInstanceError
+        attributes = self.slot_plans.plan_of(iid).attributes
+        attrs = instance.attrs
+        touched = False
+        row: list[Any] = []
+        for decl in inputs:
+            if isinstance(decl, Received):
+                row.append(self._received_input(iid, instance, decl))
+                continue
+            if not isinstance(decl, Local):  # SelfRef
+                row.append(iid)
+                continue
+            name = decl.attr
+            if name not in attributes:
+                self._readable_slot(iid, name)  # raises unless special
+            value = attrs.get(name, _MISSING)
+            if value is _MISSING or (iid, name) in engine.out_of_date:
+                value = engine.demand((iid, name))
+                # Evaluating it can flip a subtype; inside a batch the
+                # flip's re-marking is deferred and must land before the
+                # next direct read.
+                engine.settle_marks()
+            else:
+                engine.counters.demands += 1
+                if not touched:
+                    self.storage.touch(iid)
+                    touched = True
+            row.append(value)
+        return row
 
     def _received_input(self, iid: int, instance: Instance, decl: Received) -> Any:
         """A ``Received`` input: the list on a multi port, else one value.

@@ -112,8 +112,9 @@ class Predicate:
     ) -> list[int]:
         """The candidates satisfying the predicate, in order (queries).
 
-        Inputs come from :meth:`~repro.core.database.Database.read_inputs`
-        -- clean slots read directly, out-of-date ones demanded -- and a
+        The candidates go through
+        :meth:`~repro.core.database.Database.read_inputs` with the body --
+        clean slots read directly, out-of-date ones demanded -- and a
         compiled body runs through its positional closure.  The truth test
         is ``bool()``'s, as in :meth:`_call`.  With a ``limit``, reading
         stops once that many candidates match: the inputs of the rest are
@@ -124,7 +125,6 @@ class Predicate:
 
         if limit is not None and limit <= 0:
             return []
-        rows = db.read_inputs(candidates, tuple(self.inputs.values()))
         fn = self.fn
         if isinstance(fn, CompiledBody) and fn.kwnames == tuple(self.inputs):
             body = fn.fn
@@ -134,15 +134,7 @@ class Predicate:
             def body(*row: Any) -> Any:
                 return fn(**dict(zip(keys, row)))
 
-        if limit is None:
-            return [iid for iid, row in zip(candidates, rows) if body(*row)]
-        selected: list[int] = []
-        for iid, row in zip(candidates, rows):
-            if body(*row):
-                selected.append(iid)
-                if len(selected) == limit:
-                    break
-        return selected
+        return db.read_inputs(candidates, tuple(self.inputs.values()), body, limit)
 
     def on_view(self, view) -> bool:
         """Evaluate directly against an :class:`InstanceView` (queries).

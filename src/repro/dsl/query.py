@@ -293,7 +293,7 @@ class Query:
         """Sort by the order key, read for every candidate in one pass."""
         if self.order_by is not None and candidates:
             rows = db.read_inputs(candidates, (Local(self.order_by),))
-            keys = {iid: row[0] for iid, row in zip(candidates, rows)}
+            keys = {iid: key for iid, (key,) in zip(candidates, rows)}
             self._sort(candidates, keys)
         return self._limit(candidates)
 

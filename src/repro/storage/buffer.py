@@ -91,6 +91,19 @@ class BufferPool:
     def resident_blocks(self) -> list[int]:
         return list(self._frames)
 
+    def frame_table(self) -> OrderedDict[int, bool]:
+        """The frames themselves: block id -> dirty flag, oldest first.
+
+        Exported for the storage manager's in-place hit
+        (:meth:`StorageManager.touch
+        <repro.storage.manager.StorageManager.touch>`): a touch of a
+        resident block counts ``stats.hits``, sets the flag when it dirties
+        and moves the frame to the end -- what :meth:`fetch` does on a
+        hit.  Nothing else may change the table: a miss, eviction and drop
+        go through the methods here.
+        """
+        return self._frames
+
     # -- access -------------------------------------------------------------
 
     def fetch(self, block_id: int, dirty: bool = False) -> None:

@@ -7,12 +7,25 @@ produced by the clustering reorganiser.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from collections import Counter, OrderedDict
+from typing import Callable, Iterable, NamedTuple
 
 from repro.errors import StorageError
-from repro.storage.buffer import DEFAULT_POOL_CAPACITY, BufferPool
+from repro.storage.buffer import DEFAULT_POOL_CAPACITY, BufferPool, BufferStats
 from repro.storage.disk import DEFAULT_BLOCK_CAPACITY, SimulatedDisk
 from repro.storage.usage import UsageStats
+
+
+class FrameHit(NamedTuple):
+    """What :meth:`StorageManager.touch`'s one-frame hit reads and counts."""
+
+    #: iid -> block id, or None for an unplaced instance.
+    placement: Callable[[int], int | None]
+    #: the pool's frame table (:meth:`BufferPool.frame_table`).
+    frames: OrderedDict[int, bool]
+    stats: BufferStats
+    #: per-iid access counts (the usage statistics' ``instance_accesses``).
+    accesses: Counter[int]
 
 
 class StorageManager:
@@ -31,6 +44,7 @@ class StorageManager:
     ) -> None:
         self.disk = SimulatedDisk(block_capacity)
         self.buffer = BufferPool(self.disk, pool_capacity)
+        self._frames = self.buffer.frame_table()
         self.usage = usage if usage is not None else UsageStats()
         self._block_of: dict[int, int] = {}
         self._fill_block: int | None = None
@@ -99,10 +113,37 @@ class StorageManager:
     # -- access ------------------------------------------------------------
 
     def touch(self, iid: int, dirty: bool = False) -> None:
-        """Bring the instance's block into the pool; count the access."""
-        block_id = self.block_of(iid)
-        self.buffer.fetch(block_id, dirty=dirty)
-        self.usage.note_instance_access(iid)
+        """Bring the instance's block into the pool; count the access.
+
+        A resident block is the one-frame hit, taken in place: count the
+        hit, flag the frame when ``dirty``, move it to the end of the LRU
+        order -- what :meth:`BufferPool.fetch` does on a hit, without the
+        call.  A miss goes through :meth:`BufferPool.fetch` (load, eviction
+        and their callbacks).
+        """
+        block_id = self._block_of.get(iid)
+        frames = self._frames
+        if block_id in frames:
+            self.buffer.stats.hits += 1
+            if dirty:
+                frames[block_id] = True
+            frames.move_to_end(block_id)
+        else:
+            self.buffer.fetch(self.block_of(iid), dirty=dirty)
+        self.usage.instance_accesses[iid] += 1
+
+    def frame_hit(self) -> FrameHit:
+        """The structures :meth:`touch`'s one-frame hit reads and counts.
+
+        For a reader that inlines a clean touch (the query read path's
+        generated reader): when ``placement(iid)`` is a key of ``frames``,
+        ``stats.hits`` and ``accesses[iid]`` each go up by one and
+        ``frames.move_to_end`` takes the block, and that is the whole
+        touch; any other touch calls :meth:`touch`.
+        """
+        return FrameHit(
+            self._block_of.get, self._frames, self.buffer.stats, self.usage.instance_accesses
+        )
 
     def is_resident(self, iid: int) -> bool:
         """True when the instance's block is in the buffer pool."""

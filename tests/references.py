@@ -26,7 +26,10 @@ the test side, instead of behind a switch in ``src/``:
   :func:`interpreted`, which swaps every :class:`CompiledBody` of a schema
   for it;
 * **folded predicates** -- :func:`unfolded`, which freezes schemas
-  without analysis facts so nothing is folded.
+  without analysis facts so nothing is folded;
+* **the query reader** -- :func:`reference_read_inputs`, the hand-written
+  per-candidate, per-input loop that ``Database.read_inputs``' generated
+  reader replaced, touching records through ``BufferPool.fetch``.
 """
 
 from __future__ import annotations
@@ -705,3 +708,65 @@ class MarkingOracle:
                     len(region),
                     edges,
                 )
+
+
+# ---------------------------------------------------------------------------
+# the query reader
+# ---------------------------------------------------------------------------
+
+_UNSTORED = object()
+
+
+def reference_read_inputs(
+    db: Database, iids: Sequence[int], inputs: Sequence, body=None, limit=None
+) -> list:
+    """``Database.read_inputs`` as one generic loop over candidates and inputs.
+
+    Same contract: with ``body``, the candidates it holds for, stopping at
+    ``limit`` matches; without, each candidate's values as a tuple.  Every
+    input is read in order -- a clean ``Local`` slot from the stored
+    values (the record touched at the first one, through
+    ``BufferPool.fetch`` and ``UsageStats.note_instance_access``), a stale
+    or never-evaluated one through ``engine.demand`` -- so demands, rule
+    evaluations, buffer traffic and errors are what reading every input
+    through ``get_attr`` gives, one touch per candidate on the direct path.
+    """
+    engine = db.engine
+    storage = db.storage
+    out: list = []
+    engine.settle_marks()
+    for iid in iids:
+        instance = db._catalog.get(iid)
+        if instance is None:
+            db.instance(iid)  # raises UnknownInstanceError
+        attributes = db.slot_plans.plan_of(iid).attributes
+        touched = False
+        row = []
+        for decl in inputs:
+            if isinstance(decl, Received):
+                row.append(db._received_input(iid, instance, decl))
+                continue
+            if not isinstance(decl, Local):  # SelfRef
+                row.append(iid)
+                continue
+            name = decl.attr
+            if name not in attributes:
+                db._readable_slot(iid, name)  # raises unless special
+            value = instance.attrs.get(name, _UNSTORED)
+            if value is _UNSTORED or (iid, name) in engine.out_of_date:
+                value = engine.demand((iid, name))
+                engine.settle_marks()
+            else:
+                engine.counters.demands += 1
+                if not touched:
+                    storage.buffer.fetch(storage.block_of(iid))
+                    storage.usage.note_instance_access(iid)
+                    touched = True
+            row.append(value)
+        if body is None:
+            out.append(tuple(row))
+        elif body(*row):
+            out.append(iid)
+            if len(out) == limit:
+                break
+    return out
